@@ -15,6 +15,7 @@
 #include "bench_util.hpp"
 #include "comm/fault.hpp"
 #include "core/dchag_frontend.hpp"
+#include "tensor/kernel_config.hpp"
 
 using namespace dchag;
 

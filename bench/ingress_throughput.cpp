@@ -2,9 +2,10 @@
 // network path (TCP -> dispatcher -> shm ring -> worker process) versus
 // the zero-overhead in-process serve::Engine bound on the same model and
 // checkpoint. Emits BENCH_ingress.json in Google-Benchmark JSON shape so
-// scripts/bench_compare.py can gate the ratio scale-free in CI:
+// scripts/bench_compare.py can gate the ratio scale-free in CI (one
+// command line):
 //
-//   scripts/bench_compare.py --fresh BENCH_ingress.json \
+//   scripts/bench_compare.py --fresh BENCH_ingress.json
 //       --speedup BM_ServeInProcess BM_ServeIngress 0.7
 //
 // (ratio = inproc_time / ingress_time = ingress_thpt / inproc_thpt.)

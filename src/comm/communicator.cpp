@@ -92,11 +92,6 @@ std::uint64_t FailureLedger::fail(int event_index,
   return now;
 }
 
-bool FailureLedger::is_dead(int world_rank) const {
-  std::scoped_lock lk(mu_);
-  return std::binary_search(dead_.begin(), dead_.end(), world_rank);
-}
-
 std::vector<int> FailureLedger::dead_ranks() const {
   std::scoped_lock lk(mu_);
   return dead_;

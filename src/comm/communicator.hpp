@@ -87,7 +87,6 @@ class FailureLedger {
   std::uint64_t fail(int event_index, const std::vector<int>& ranks,
                      std::uint64_t seed, const std::string& schedule);
 
-  [[nodiscard]] bool is_dead(int world_rank) const;
   [[nodiscard]] std::vector<int> dead_ranks() const;
 
   struct Repro {

@@ -36,22 +36,8 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      next_id_(std::exchange(other.next_id_, 1)) {}
-
-Client& Client::operator=(Client&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = std::exchange(other.fd_, -1);
-    next_id_ = std::exchange(other.next_id_, 1);
-  }
-  return *this;
-}
-
 Frame Client::round_trip(MsgType type,
                          const std::vector<std::uint8_t>& payload) {
-  DCHAG_CHECK(fd_ >= 0, "Client used after move");
   DCHAG_CHECK(write_frame(fd_, type, payload),
               "ingress connection closed while sending");
   std::optional<Frame> reply = read_frame(fd_);

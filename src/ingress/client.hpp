@@ -18,8 +18,6 @@ class Client {
   /// Connects to an Ingress on 127.0.0.1:port; throws on refusal.
   explicit Client(std::uint16_t port);
   ~Client();
-  Client(Client&& other) noexcept;
-  Client& operator=(Client&& other) noexcept;
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
@@ -33,7 +31,8 @@ class Client {
 
   /// The /metrics-style exposition text (kMetricsQuery round trip).
   [[nodiscard]] std::string metrics_text();
-  /// The /healthz-style liveness probe; true iff the ingress answered ok.
+  /// The /healthz-style liveness probe; true iff the ingress answered ok
+  /// (a draining ingress answers a typed kShuttingDown instead).
   [[nodiscard]] bool healthz();
 
  private:

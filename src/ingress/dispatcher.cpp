@@ -323,6 +323,17 @@ void Ingress::connection_loop(std::shared_ptr<Conn> conn) {
         break;
       }
       case MsgType::kHealthQuery: {
+        bool draining = false;
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          draining = draining_;
+        }
+        // A draining ingress is not healthy: the typed reject lets a
+        // client on an open connection see the drain begin.
+        if (draining) {
+          send_error(conn, 0, ErrorCode::kShuttingDown, "ingress is draining");
+          break;
+        }
         static constexpr char kOk[] = "ok";
         std::lock_guard<std::mutex> lock(conn->write_mu);
         if (conn->fd >= 0)
@@ -413,10 +424,16 @@ void Ingress::dispatch_loop() {
     if (idle_now) drain_cv_.notify_all();
 
     // 3. Deliver outside the lock: socket writes must not stall dispatch.
+    // Account before writing, so a client that has its answer never
+    // scrapes counters that still lack it.
     for (Done& d : done) {
       const auto now = std::chrono::steady_clock::now();
       const double total = ms_between(d.job.accepted, now);
       const double queued = ms_between(d.job.accepted, d.job.dispatched);
+      metrics_.record_request(total, queued);
+      metrics_.record_batch(1, total - queued);
+      metrics_.mark_window(now_ms());
+      counters_.complete();
       if (d.hdr.status == 0) {
         InferResult result;
         result.id = d.job.client_id;
@@ -430,10 +447,6 @@ void Ingress::dispatch_loop() {
         send_error(d.job.conn, d.job.client_id,
                    static_cast<ErrorCode>(d.hdr.status), d.error);
       }
-      metrics_.record_request(total, queued);
-      metrics_.record_batch(1, total - queued);
-      metrics_.mark_window(now_ms());
-      counters_.complete();
     }
     if (!done.empty()) {
       std::lock_guard<std::mutex> lock(mu_);
@@ -459,6 +472,9 @@ void Ingress::fail_over(std::unique_ptr<Worker> dead, bool count_restart) {
     // Deliver inline: this is the rare path (worker death), contention
     // with the dispatch thread is irrelevant.
     Job& job = it->second;
+    metrics_.record_request(
+        ms_between(job.accepted, std::chrono::steady_clock::now()), 0.0);
+    counters_.complete();
     if (resp.status == 0) {
       InferResult result;
       result.id = job.client_id;
@@ -472,9 +488,6 @@ void Ingress::fail_over(std::unique_ptr<Worker> dead, bool count_restart) {
       send_error(job.conn, job.client_id,
                  static_cast<ErrorCode>(resp.status), error);
     }
-    metrics_.record_request(
-        ms_between(job.accepted, std::chrono::steady_clock::now()), 0.0);
-    counters_.complete();
     dead->in_flight.erase(it);
   }
 
@@ -583,15 +596,17 @@ void Ingress::monitor_loop() {
 // ---------------------------------------------------------------------------
 
 void Ingress::drain() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    draining_ = true;
-  }
-  // Stop accepting connections; in-flight and queued work keeps going.
+  // Stop accepting connections first, so once /healthz reports the drain
+  // a new connect is already refused; in-flight and queued work keeps
+  // going.
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    draining_ = true;
   }
   if (accept_thread_.joinable()) accept_thread_.join();
 

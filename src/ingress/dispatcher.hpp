@@ -20,7 +20,7 @@
 //   * scales the pool between min_workers and max_workers from queue
 //     pressure,
 //   * serves /metrics- and /healthz-style queries from the same socket
-//     protocol,
+//     protocol (/healthz turns into a typed kShuttingDown once draining),
 //   * drains on shutdown: every accepted request is answered before the
 //     workers are stopped and the shm segments unlinked.
 #pragma once

@@ -38,20 +38,9 @@ Variable ColumnParallelLinear::forward(const Variable& x) const {
 
 // ----- RowParallelLinear ------------------------------------------------------
 
-RowParallelLinear::RowParallelLinear(Index in, Index out, Communicator& comm,
-                                     Rng& rng, const std::string& name)
-    : comm_(&comm) {
-  init_from_full(rng.xavier(Shape{in, out}), comm, name);
-}
-
-RowParallelLinear::RowParallelLinear(Tensor full_weight, Communicator& comm,
+RowParallelLinear::RowParallelLinear(const Tensor& full, Communicator& comm,
                                      const std::string& name)
     : comm_(&comm) {
-  init_from_full(full_weight, comm, name);
-}
-
-void RowParallelLinear::init_from_full(const Tensor& full, Communicator& comm,
-                                       const std::string& name) {
   const Index in = full.dim(0);
   const Index out = full.dim(1);
   const int P = comm.size();

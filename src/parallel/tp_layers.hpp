@@ -42,16 +42,12 @@ class ColumnParallelLinear : public Module {
 /// y = AllReduce_r(x_local @ W[shard, :]) + b; input sharded on last dim.
 class RowParallelLinear : public Module {
  public:
-  RowParallelLinear(Index in, Index out, Communicator& comm, Rng& rng,
-                    const std::string& name);
-  RowParallelLinear(Tensor full_weight, Communicator& comm,
+  RowParallelLinear(const Tensor& full_weight, Communicator& comm,
                     const std::string& name);
 
   [[nodiscard]] Variable forward(const Variable& x_local) const;
 
  private:
-  void init_from_full(const Tensor& full, Communicator& comm,
-                      const std::string& name);
   Communicator* comm_ = nullptr;
   Variable weight_;  // [in/P, out]
   Variable bias_;    // [out], added once after the reduction

@@ -105,8 +105,6 @@ CommMode parse_comm_mode(const std::string& name) {
 }
 
 namespace detail {
-std::optional<CommConfig> thread_comm_override() { return t_state.comm; }
-
 std::optional<int> parse_bounded_int(const std::string& text, int lo,
                                      int hi) {
   if (text.empty()) return std::nullopt;

@@ -1,6 +1,3 @@
-// Shim TU: consumes the deprecated SpmdEngineConfig::fault_plan slot.
-#define DCHAG_ALLOW_DEPRECATED_CONFIG 1
-
 #include "serve/spmd_engine.hpp"
 
 #include <algorithm>
@@ -39,10 +36,6 @@ SpmdEngine::SpmdEngine(int ranks, RankModelFactory factory,
       hedge_timeout_(cfg.hedge_timeout) {
   DCHAG_CHECK(ranks_ >= 1, "SpmdEngine needs >= 1 rank");
   DCHAG_CHECK(factory_ != nullptr, "SpmdEngine needs a model factory");
-#ifdef DCHAG_DEPRECATED_CONFIG
-  if (cfg.fault_plan)
-    ctx_ = ctx_.to_builder().fault_plan(cfg.fault_plan).build();
-#endif
   serving_members_ = full_membership(ranks_);
   world_thread_ = std::thread([this] {
     try {

@@ -67,14 +67,6 @@ struct SpmdEngineConfig {
   /// never overtake the stuck one). Surfaces straggler-delayed and
   /// recovery-stalled jobs in the counters. Zero disables hedging.
   std::chrono::milliseconds hedge_timeout{0};
-
-#ifdef DCHAG_DEPRECATED_CONFIG
-  /// Pre-Context fault slot; overlays the Context's fault_plan. The
-  /// serving path must stay live and deadlock-free under a plan; tests
-  /// assert tail-latency metrics still populate.
-  /// Deprecated: use ContextBuilder::fault_plan on the engine Context.
-  std::shared_ptr<const comm::FaultPlan> fault_plan;
-#endif
 };
 
 class SpmdEngine {

@@ -146,8 +146,6 @@ Variable scale(const Variable& a, float s) {
   });
 }
 
-Variable neg(const Variable& a) { return scale(a, -1.0f); }
-
 Variable matmul(const Variable& a, const Variable& b) {
   Tensor out = ops::matmul(a.value(), b.value());
   auto na = a.node();

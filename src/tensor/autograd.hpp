@@ -109,7 +109,6 @@ Variable add(const Variable& a, const Variable& b);
 Variable sub(const Variable& a, const Variable& b);
 Variable mul(const Variable& a, const Variable& b);
 Variable scale(const Variable& a, float s);
-Variable neg(const Variable& a);
 
 Variable matmul(const Variable& a, const Variable& b);
 Variable reshape(const Variable& a, Shape s);

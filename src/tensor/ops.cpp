@@ -174,15 +174,6 @@ Tensor neg(const Tensor& a) {
   return unary_op(a, [](float x) { return -x; });
 }
 
-bool broadcastable(const Shape& a, const Shape& b) {
-  if (b.rank() > a.rank()) return false;
-  for (Index d = 0; d < b.rank(); ++d) {
-    const Index ad = a.rank() - b.rank() + d;
-    if (b.dim(d) != a.dim(ad) && b.dim(d) != 1) return false;
-  }
-  return true;
-}
-
 Tensor reduce_to_shape(const Tensor& t, const Shape& target) {
   if (t.shape() == target) return t;
   // Reduce leading extra dims, then any interior broadcast (==1) dims.
@@ -541,14 +532,6 @@ Tensor gelu_grad(const Tensor& a) {
     const float du = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
     return 0.5f * (1.0f + t) + 0.5f * x * sech2 * du;
   });
-}
-
-Tensor relu(const Tensor& a) {
-  return unary_op(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-
-Tensor exp(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::exp(x); });
 }
 
 LayerNormResult layernorm(const Tensor& a, const Tensor& gamma,

@@ -30,9 +30,6 @@ Tensor scale(const Tensor& a, float s);
 Tensor add_scalar(const Tensor& a, float s);
 Tensor neg(const Tensor& a);
 
-/// True if `b` broadcasts to `a` under right-aligned numpy rules.
-bool broadcastable(const Shape& a, const Shape& b);
-
 /// Sum `t` down to `target` shape by reducing the dimensions that were
 /// broadcast (the adjoint of broadcasting; used by autograd backward).
 Tensor reduce_to_shape(const Tensor& t, const Shape& target);
@@ -84,8 +81,6 @@ Tensor softmax_lastdim(const Tensor& a);
 /// GELU with tanh approximation (matches the PyTorch default used by ViTs).
 Tensor gelu(const Tensor& a);
 Tensor gelu_grad(const Tensor& a);  // d gelu / d a, elementwise
-Tensor relu(const Tensor& a);
-Tensor exp(const Tensor& a);
 
 struct LayerNormResult {
   Tensor y;     ///< normalised output (same shape as input)

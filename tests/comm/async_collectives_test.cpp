@@ -88,17 +88,34 @@ TEST(AsyncCollectives, ManyInFlightWaitedOutOfOrder) {
 TEST(AsyncCollectives, SyncCollectiveIsEagerAndBitIdenticalToAsync) {
   World world(4);
   world.run([](Communicator& comm) {
+    const std::size_t n = 33;
+    const std::size_t P = static_cast<std::size_t>(comm.size());
+    // All-reduce, reduce-scatter and broadcast outputs of one collective.
+    auto run_ops = [&](ICollective& coll, bool eager) {
+      std::vector<float> reduced = iota_data(comm.rank(), n);
+      const std::vector<float> big = iota_data(comm.rank(), n * P);
+      std::vector<float> scattered(n);
+      std::vector<float> bcast = comm.rank() == 1
+                                     ? iota_data(1, n)
+                                     : std::vector<float>(n, -1.0f);
+      std::vector<CommFuture> futs;
+      futs.push_back(coll.iall_reduce(reduced));
+      futs.push_back(coll.ireduce_scatter(big, scattered));
+      futs.push_back(coll.ibroadcast(bcast, /*root=*/1));
+      for (CommFuture& f : futs) {
+        if (eager) {
+          EXPECT_TRUE(f.ready());  // the oracle completes at issue time
+        }
+        f.wait();
+      }
+      return std::vector<std::vector<float>>{reduced, scattered, bcast};
+    };
     SyncCollective sync(comm);
     AsyncCommunicator async(comm);
-    std::vector<float> via_sync = iota_data(comm.rank(), 33);
-    std::vector<float> via_async = via_sync;
-    CommFuture fs = sync.iall_reduce(via_sync);
-    ASSERT_TRUE(fs.ready());  // the oracle completes at issue time
-    fs.wait();
-    CommFuture fa = async.iall_reduce(via_async);
-    fa.wait();
-    for (std::size_t i = 0; i < via_sync.size(); ++i)
-      ASSERT_EQ(via_sync[i], via_async[i]);
+    const auto via_sync = run_ops(sync, /*eager=*/true);
+    const auto via_async = run_ops(async, /*eager=*/false);
+    ASSERT_EQ(via_sync, via_async);
+    ASSERT_EQ(via_sync[2], iota_data(1, n));
   });
 }
 

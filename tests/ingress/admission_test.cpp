@@ -1,7 +1,13 @@
 // Admission control: a saturated bounded queue answers with typed
 // kSaturated rejects (no hangs, no silent drops), every ACCEPTED request
-// is answered bit-exactly, and a draining ingress type-rejects new work
-// while still finishing everything it admitted.
+// is answered bit-exactly, a malformed frame is a typed kBadRequest, and
+// a draining ingress type-rejects new work while still finishing
+// everything it admitted.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -72,6 +78,44 @@ TEST(Admission, SaturationIsATypedRejectNeverAHangOrDrop) {
             static_cast<std::uint64_t>(saturated.load()));
 }
 
+TEST(Admission, MalformedFrameIsATypedBadRequest) {
+  TrainedModel trained;
+  IngressConfig cfg = testutil::base_config(trained);
+  cfg.min_workers = 1;
+  cfg.max_workers = 1;
+  Ingress ingress(cfg);
+
+  // A raw socket: Client only ever sends well-formed frames.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(ingress.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // A kInfer frame too short to hold a request header.
+  ASSERT_TRUE(write_frame(fd, MsgType::kInfer,
+                          std::vector<std::uint8_t>{1, 2, 3}));
+  std::optional<Frame> reply = read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, MsgType::kError);
+  EXPECT_EQ(decode_error(reply->payload.data(), reply->payload.size()).code,
+            ErrorCode::kBadRequest);
+  // The connection keeps being served after the reject.
+  ASSERT_TRUE(write_frame(fd, MsgType::kHealthQuery, {}));
+  reply = read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, MsgType::kHealthOk);
+  ::close(fd);
+
+  ingress.drain();
+  const Counters::Snapshot c = ingress.counters();
+  EXPECT_EQ(c.rejected_bad, 1u);
+  EXPECT_EQ(c.accepted, 0u);
+}
+
 TEST(Admission, DrainingRejectsNewWorkAndFinishesAdmittedWork) {
   TrainedModel trained;
   IngressConfig cfg = testutil::base_config(trained);
@@ -122,17 +166,13 @@ TEST(Admission, DrainingRejectsNewWorkAndFinishesAdmittedWork) {
   while (ingress.queue_depth() < 4) std::this_thread::yield();
 
   std::thread drainer([&] { ingress.drain(); });
-  // drain() closes the listener right after flipping to draining, so a
-  // refused connect is the proof that new work now gets type-rejected.
+  // /healthz on the open probe turns into a typed kShuttingDown the
+  // moment the dispatcher flips to draining, which drain() does only
+  // after closing the listener: from then on a new connect is refused.
   // The crash-stalled backlog keeps the drain itself busy long past this
   // point, so the probe below lands while the dispatcher still drains.
-  for (bool listening = true; listening;) {
-    try {
-      Client tmp(ingress.port());
-    } catch (const std::exception&) {
-      listening = false;
-    }
-  }
+  while (probe.healthz()) std::this_thread::yield();
+  EXPECT_THROW(Client{ingress.port()}, std::exception);
   bool saw_shutdown = false;
   int probe_ok = 0;
   try {

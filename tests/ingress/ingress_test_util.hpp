@@ -3,6 +3,9 @@
 // answer is compared against.
 #pragma once
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,7 +33,9 @@ inline ModelSpec tiny_spec() {
 
 /// The "trained" model (seed 7) plus its checkpoint file — workers are
 /// seeded differently (build_model's default seed 1), so a bit-exact
-/// served answer proves the checkpoint cold start, not luck.
+/// served answer proves the checkpoint cold start, not luck. The file is
+/// private to this process: suites run in parallel, and a respawning
+/// worker must never read a checkpoint another suite is rewriting.
 struct TrainedModel {
   std::unique_ptr<model::ForecastModel> model;
   serve::Engine engine;
@@ -39,9 +44,11 @@ struct TrainedModel {
   TrainedModel()
       : model(build_model(tiny_spec(), /*seed=*/7)),
         engine(*model),
-        checkpoint(::testing::TempDir() + "ingress_ckpt.bin") {
+        checkpoint(::testing::TempDir() + "ingress_ckpt_" +
+                   std::to_string(::getpid()) + ".bin") {
     train::save_module(checkpoint, *model);
   }
+  ~TrainedModel() { std::remove(checkpoint.c_str()); }
 
   /// Reference prediction [S, D] for one sample, same path the worker
   /// runs (Engine::run on a singleton batch).

@@ -1,7 +1,8 @@
 // Channel-subset request correctness (paper §2.1): subset tokenization is
 // bit-identical to the matching rows of a full tokenization, the
 // aggregation tree's partial-channel routing degenerates to the plain
-// forward on the full set, slot validation fails loudly, and the D-CHAG
+// forward on the full set, slot validation fails loudly, components
+// without subset support reject subsets with a typed error, and the D-CHAG
 // SPMD front-end serves subsets replicated across ranks — including ranks
 // owning none of the requested channels.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "comm/communicator.hpp"
 #include "core/dchag_frontend.hpp"
 #include "model/foundation.hpp"
+#include "model/perceiver.hpp"
 
 namespace dchag::model {
 namespace {
@@ -111,6 +113,36 @@ TEST(ChannelSubsetServe, SlotValidationFailsLoudly) {
   EXPECT_THROW(
       (void)tok.forward_subset(img, std::vector<Index>{2, 7}),
       Error);  // channel 7 not tokenized here
+}
+
+TEST(ChannelSubsetServe, BaseImplementationsRejectSubsetsTyped) {
+  // The Perceiver keeps the base ChannelAggregator::forward_subset: the
+  // full slot set is a plain forward, anything narrower is refused.
+  ModelConfig cfg = ModelConfig::tiny();
+  Rng rng(11);
+  PerceiverAggregator agg(cfg.embed_dim, cfg.num_heads, 4, /*latents=*/2,
+                          /*iterations=*/1, rng);
+  Tensor tokens = Rng(12).normal_tensor(Shape{1, 4, 4, cfg.embed_dim});
+  Tensor direct = agg.forward(Variable::input(tokens)).value();
+  Tensor routed = agg.forward_subset(Variable::input(tokens),
+                                     std::vector<Index>{0, 1, 2, 3})
+                      .value();
+  EXPECT_EQ(ops::max_abs_diff(direct, routed), 0.0f);
+  Tensor two = ops::slice(tokens, 2, 0, 2);
+  EXPECT_THROW((void)agg.forward_subset(Variable::input(two),
+                                        std::vector<Index>{0, 2}),
+               Error);
+
+  // A front-end that does not override forward_subset refuses it.
+  struct FullOnlyFrontEnd : FrontEnd {
+    Variable forward(const Tensor& images) const override {
+      return Variable::input(images);
+    }
+    Index local_channels() const override { return 2; }
+  };
+  FullOnlyFrontEnd fe;
+  Tensor img = Rng(13).normal_tensor(Shape{1, 1, 16, 16});
+  EXPECT_THROW((void)fe.forward_subset(img, std::vector<Index>{1}), Error);
 }
 
 TEST(ChannelSubsetServe, ForecastPredictSubsetEndToEnd) {

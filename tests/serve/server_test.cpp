@@ -13,6 +13,7 @@
 
 #include "core/dchag_frontend.hpp"
 #include "serve/spmd_engine.hpp"
+#include "tensor/kernel_config.hpp"
 #include "train/checkpoint.hpp"
 
 namespace dchag::serve {

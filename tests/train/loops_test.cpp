@@ -4,6 +4,7 @@
 
 #include "data/hyperspectral.hpp"
 #include "data/weather.hpp"
+#include "tensor/kernel_config.hpp"
 
 namespace dchag::train {
 namespace {
@@ -75,6 +76,43 @@ TEST(TrainForecast, LossDecreasesOnWeatherData) {
   });
   const float early = curve.losses[0];
   EXPECT_LT(curve.tail_mean(5), 0.8f * early);
+}
+
+TEST(TrainMae, PinnedContextGovernsTheWholeLoop) {
+  using tensor::KernelBackend;
+  const KernelBackend ambient = tensor::kernel_config().backend;
+  const KernelBackend pinned = ambient == KernelBackend::kNaive
+                                   ? KernelBackend::kBlocked
+                                   : KernelBackend::kNaive;
+  // Off-SIMD hosts degrade blocked to naive at dispatch.
+  const KernelBackend expected =
+      tensor::blocked_kernels_supported() ? pinned : KernelBackend::kNaive;
+  const runtime::Context ctx =
+      runtime::Context::current().to_builder().kernel_backend(pinned).build();
+
+  ModelConfig cfg = tiny();
+  const Index C = 4;
+  Rng rng(7);
+  auto fe = model::make_baseline_frontend(cfg, C, rng);
+  model::MaeModel mae(cfg, std::move(fe), C, rng);
+
+  LoopConfig lc;
+  lc.steps = 2;
+  lc.batch = 2;
+  std::vector<KernelBackend> seen;
+  const TrainCurve curve = train_mae(
+      mae, lc,
+      [&](Index step) {
+        seen.push_back(tensor::kernel_config().backend);
+        return Rng(100 + static_cast<std::uint64_t>(step))
+            .normal_tensor(tensor::Shape{2, C, 16, 16});
+      },
+      ctx);
+  EXPECT_EQ(curve.losses.size(), 2u);
+  ASSERT_EQ(seen.size(), 2u);
+  for (KernelBackend b : seen) EXPECT_EQ(b, expected);
+  // The loop's Scope is gone once it returns.
+  EXPECT_EQ(tensor::kernel_config().backend, ambient);
 }
 
 TEST(EvaluateForecastRmse, ReturnsPerChannelValues) {
