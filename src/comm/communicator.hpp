@@ -99,8 +99,11 @@ class FailureLedger {
 
   /// Barrier-free rendezvous for post-failure regrouping: the first
   /// caller under `key` creates the group via `make`; everyone else gets
-  /// the same GroupState. Keys are caller-chosen (the serving layer uses
-  /// "phase#generation" tags) so repeated recoveries stay distinct.
+  /// the same GroupState while any member still holds it. Keys are
+  /// caller-chosen (the serving layer uses "phase#generation" tags) so
+  /// repeated recoveries stay distinct. The ledger holds the groups
+  /// weakly: each GroupState holds the ledger, so strong entries would
+  /// keep both alive forever.
   std::shared_ptr<GroupState> recovery_group(
       const std::string& key,
       const std::function<std::shared_ptr<GroupState>()>& make);
@@ -111,7 +114,7 @@ class FailureLedger {
   std::map<int, std::uint64_t> fired_;  ///< event index -> firing epoch
   std::vector<int> dead_;               ///< sorted world ranks
   Repro last_;
-  std::map<std::string, std::shared_ptr<GroupState>> groups_;
+  std::map<std::string, std::weak_ptr<GroupState>> groups_;
 };
 
 /// Rendezvous barrier that can break. Functionally std::barrier with a

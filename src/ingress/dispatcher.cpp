@@ -8,7 +8,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -349,7 +348,8 @@ void Ingress::connection_loop(std::shared_ptr<Conn> conn) {
     }
   }
   // Leave fd open for in-flight responses of this connection; drain()
-  // closes every conn once all accepted work is answered.
+  // closes every conn once all accepted work is answered and this
+  // thread is joined.
 }
 
 // ---------------------------------------------------------------------------
@@ -491,16 +491,13 @@ void Ingress::fail_over(std::unique_ptr<Worker> dead, bool count_restart) {
     dead->in_flight.erase(it);
   }
 
-  std::vector<Job> orphans;
-  orphans.reserve(dead->in_flight.size());
-  for (auto& [id, job] : dead->in_flight) orphans.push_back(std::move(job));
-  std::sort(orphans.begin(), orphans.end(),
-            [](const Job& a, const Job& b) {
-              return a.ingress_id > b.ingress_id;
-            });
-  for (Job& job : orphans) queue_.push_front(std::move(job));
-  if (!orphans.empty()) {
-    counters_.redispatch(orphans.size());
+  // in_flight is keyed by ingress_id: pushing its jobs to the front
+  // newest first leaves them at the head in admission order.
+  const std::size_t orphans = dead->in_flight.size();
+  for (auto it = dead->in_flight.rbegin(); it != dead->in_flight.rend(); ++it)
+    queue_.push_front(std::move(it->second));
+  if (orphans != 0) {
+    counters_.redispatch(orphans);
     work_cv_.notify_all();
   }
   if (count_restart) counters_.worker_restart();
@@ -598,17 +595,18 @@ void Ingress::monitor_loop() {
 void Ingress::drain() {
   // Stop accepting connections first, so once /healthz reports the drain
   // a new connect is already refused; in-flight and queued work keeps
-  // going.
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // going. shutdown() wakes accept_loop; the fd is closed only once that
+  // thread is joined, so it never sees the number reused.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     std::lock_guard<std::mutex> lock(mu_);
     draining_ = true;
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
 
   // Every ACCEPTED request must be answered before teardown.
   {
@@ -651,26 +649,26 @@ void Ingress::drain() {
     w->ring->unlink();
   }
 
-  // Hang up on every client; connection threads unblock from recv.
+  // Hang up on every client: shutdown() unblocks the connection threads
+  // from recv, and each fd is closed only after they are joined, so no
+  // thread can read or write a recycled fd number.
   std::vector<std::shared_ptr<Conn>> conns;
   {
     std::lock_guard<std::mutex> lock(mu_);
     conns.swap(conns_);
   }
-  for (auto& c : conns) {
-    std::lock_guard<std::mutex> lock(c->write_mu);
-    if (c->fd >= 0) {
-      ::shutdown(c->fd, SHUT_RDWR);
-      ::close(c->fd);
-      c->fd = -1;
-    }
-  }
+  for (auto& c : conns)
+    if (c->fd >= 0) ::shutdown(c->fd, SHUT_RDWR);
   std::vector<std::thread> conn_threads;
   {
     std::lock_guard<std::mutex> lock(conn_threads_mu_);
     conn_threads.swap(conn_threads_);
   }
   for (std::thread& t : conn_threads) t.join();
+  for (auto& c : conns) {
+    if (c->fd >= 0) ::close(c->fd);
+    c->fd = -1;
+  }
   metrics_.mark_window(now_ms());
 }
 

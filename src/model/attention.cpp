@@ -51,8 +51,9 @@ Variable scaled_attention(const Variable& q, const Variable& k,
   const float s = 1.0f / std::sqrt(static_cast<float>(dh));
   if (fused && !autograd::is_grad_enabled()) {
     // Tape-free: scale + softmax rows fused into the score GEMM's strips.
-    tensor::Tensor probs = tensor::ops::matmul_scale_softmax(
-        q.value(), tensor::ops::transpose_last2(k.value()), s);
+    tensor::Tensor probs =
+        tensor::ops::matmul(q.value(), tensor::ops::transpose_last2(k.value()),
+                            {.scale = s, .softmax = true});
     return Variable::input(tensor::ops::matmul(probs, v.value()));
   }
   Variable scores =
@@ -107,24 +108,22 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(Index dim, Index heads,
   register_child(*wo_);
 }
 
-Variable MultiHeadSelfAttention::forward(const Variable& x) const {
+Variable MultiHeadSelfAttention::attend(const Variable& x) const {
   DCHAG_CHECK(x.shape().dim(-1) == dim_,
               "attention dim mismatch: " << x.shape().to_string());
   Variable q = split_heads(wq_->forward(x), heads_);
   Variable k = split_heads(wk_->forward(x), heads_);
   Variable v = split_heads(wv_->forward(x), heads_);
-  return wo_->forward(merge_heads(scaled_attention(q, k, v, is_frozen())));
+  return merge_heads(scaled_attention(q, k, v, is_frozen()));
+}
+
+Variable MultiHeadSelfAttention::forward(const Variable& x) const {
+  return wo_->forward(attend(x));
 }
 
 Variable MultiHeadSelfAttention::forward_residual(
     const Variable& x, const Variable& residual) const {
-  DCHAG_CHECK(x.shape().dim(-1) == dim_,
-              "attention dim mismatch: " << x.shape().to_string());
-  Variable q = split_heads(wq_->forward(x), heads_);
-  Variable k = split_heads(wk_->forward(x), heads_);
-  Variable v = split_heads(wv_->forward(x), heads_);
-  return wo_->forward_residual(
-      merge_heads(scaled_attention(q, k, v, is_frozen())), residual);
+  return wo_->forward_residual(attend(x), residual);
 }
 
 CrossAttentionAggregator::CrossAttentionAggregator(

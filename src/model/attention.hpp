@@ -25,7 +25,7 @@ namespace detail {
 /// softmax(q k^T / sqrt(dh)) v on head-split operands
 /// q: [*, h, Nq, dh], k/v: [*, h, Nk, dh]. With `fused` (a frozen owner)
 /// and gradients off, the scale+softmax rows ride the score GEMM's row
-/// strips (ops::matmul_scale_softmax) — bit-identical, tape-free.
+/// strips (an ops::matmul epilogue) — bit-identical, tape-free.
 [[nodiscard]] Variable scaled_attention(const Variable& q, const Variable& k,
                                         const Variable& v,
                                         bool fused = false);
@@ -49,6 +49,9 @@ class MultiHeadSelfAttention : public Module {
                                           const Variable& residual) const;
 
  private:
+  /// q/k/v projections, attention and head merge: everything but wo_.
+  [[nodiscard]] Variable attend(const Variable& x) const;
+
   Index dim_;
   Index heads_;
   std::unique_ptr<Linear> wq_, wk_, wv_, wo_;

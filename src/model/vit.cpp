@@ -20,31 +20,23 @@ ViTBlock::ViTBlock(const ModelConfig& cfg, Rng& rng,
   register_child(*mlp_down_);
 }
 
+// Both residual adds, the MLP's GELU and (in forward_post_ln) the final
+// layernorm ride their producing Linear's epilogue: fused into the GEMM
+// row strips when frozen for serving, the plain autograd op chain
+// otherwise. The residual lands as (value + residual), a commutative
+// float add, so both forms are bit-identical.
 Variable ViTBlock::forward(const Variable& x) const {
-  if (is_frozen() && !autograd::is_grad_enabled()) {
-    // Serving plan: both residual adds and the MLP's GELU ride their
-    // producing GEMMs' row strips. The residual lands as (value +
-    // residual) instead of add(residual, value) — a commutative float
-    // add, so the output stays bit-identical to the path below.
-    Variable h = attn_->forward_residual(ln1_->forward(x), x);
-    return mlp_down_->forward_residual(
-        mlp_up_->forward_gelu(ln2_->forward(h)), h);
-  }
-  Variable h = autograd::add(x, attn_->forward(ln1_->forward(x)));
-  Variable mlp =
-      mlp_down_->forward(autograd::gelu(mlp_up_->forward(ln2_->forward(h))));
-  return autograd::add(h, mlp);
+  Variable h = attn_->forward_residual(ln1_->forward(x), x);
+  return mlp_down_->forward_residual(mlp_up_->forward_gelu(ln2_->forward(h)),
+                                     h);
 }
 
 Variable ViTBlock::forward_post_ln(const Variable& x,
                                    const LayerNorm& final_ln) const {
-  if (is_frozen() && !autograd::is_grad_enabled()) {
-    Variable h = attn_->forward_residual(ln1_->forward(x), x);
-    return mlp_down_->forward_residual_layernorm(
-        mlp_up_->forward_gelu(ln2_->forward(h)), h, final_ln.gamma(),
-        final_ln.beta());
-  }
-  return final_ln.forward(forward(x));
+  Variable h = attn_->forward_residual(ln1_->forward(x), x);
+  return mlp_down_->forward_residual_layernorm(
+      mlp_up_->forward_gelu(ln2_->forward(h)), h, final_ln.gamma(),
+      final_ln.beta());
 }
 
 ViTEncoder::ViTEncoder(const ModelConfig& cfg, Rng& rng,
@@ -60,18 +52,12 @@ ViTEncoder::ViTEncoder(const ModelConfig& cfg, Rng& rng,
 }
 
 Variable ViTEncoder::forward(const Variable& x) const {
-  if (is_frozen() && !autograd::is_grad_enabled() && !blocks_.empty()) {
-    // Serving plan: the final layernorm rides the last block's closing
-    // MLP projection instead of a separate fan-out over the tokens.
-    Variable h = x;
-    for (std::size_t i = 0; i + 1 < blocks_.size(); ++i) {
-      h = blocks_[i]->forward(h);
-    }
-    return blocks_.back()->forward_post_ln(h, *final_ln_);
-  }
+  if (blocks_.empty()) return final_ln_->forward(x);
+  // The final layernorm rides the last block's closing MLP projection.
   Variable h = x;
-  for (const auto& block : blocks_) h = block->forward(h);
-  return final_ln_->forward(h);
+  for (std::size_t i = 0; i + 1 < blocks_.size(); ++i)
+    h = blocks_[i]->forward(h);
+  return blocks_.back()->forward_post_ln(h, *final_ln_);
 }
 
 }  // namespace dchag::model

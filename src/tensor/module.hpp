@@ -164,42 +164,19 @@ class Linear : public Module {
         bias_(register_param(name + ".bias", tensor::Tensor({out}, 0.0f))) {}
 
   [[nodiscard]] Variable forward(const Variable& x) const {
-    if (fused_ready()) {
-      tensor::ops::LinearEpilogue epi;
-      epi.bias = &bias_.value();
-      return Variable::input(
-          tensor::ops::linear_fused(x.value(), weight_.value(), &*packed_,
-                                    epi));
-    }
-    return add(matmul(x, weight_), bias_);
+    return forward_tail(x, false);
   }
 
   /// y = gelu(x W + b); the GELU rides the GEMM tail when frozen.
   [[nodiscard]] Variable forward_gelu(const Variable& x) const {
-    if (fused_ready()) {
-      tensor::ops::LinearEpilogue epi;
-      epi.bias = &bias_.value();
-      epi.gelu = true;
-      return Variable::input(
-          tensor::ops::linear_fused(x.value(), weight_.value(), &*packed_,
-                                    epi));
-    }
-    return gelu(forward(x));
+    return forward_tail(x, true);
   }
 
   /// y = residual + (x W + b); the residual add rides the GEMM tail when
   /// frozen (bitwise-equal operand swap of a commutative float add).
   [[nodiscard]] Variable forward_residual(const Variable& x,
                                           const Variable& residual) const {
-    if (fused_ready()) {
-      tensor::ops::LinearEpilogue epi;
-      epi.bias = &bias_.value();
-      epi.residual = &residual.value();
-      return Variable::input(
-          tensor::ops::linear_fused(x.value(), weight_.value(), &*packed_,
-                                    epi));
-    }
-    return add(residual, forward(x));
+    return forward_tail(x, false, &residual);
   }
 
   /// y = layernorm(residual + (x W + b)); the full post-GEMM tail of a
@@ -207,18 +184,7 @@ class Linear : public Module {
   [[nodiscard]] Variable forward_residual_layernorm(
       const Variable& x, const Variable& residual, const Variable& gamma,
       const Variable& beta, float eps = 1e-5f) const {
-    if (fused_ready()) {
-      tensor::ops::LinearEpilogue epi;
-      epi.bias = &bias_.value();
-      epi.residual = &residual.value();
-      epi.ln_gamma = &gamma.value();
-      epi.ln_beta = &beta.value();
-      epi.ln_eps = eps;
-      return Variable::input(
-          tensor::ops::linear_fused(x.value(), weight_.value(), &*packed_,
-                                    epi));
-    }
-    return layernorm(forward_residual(x, residual), gamma, beta, eps);
+    return forward_tail(x, false, &residual, &gamma, &beta, eps);
   }
 
   [[nodiscard]] const Variable& weight() const { return weight_; }
@@ -245,6 +211,33 @@ class Linear : public Module {
           "serving (packed GEMM panels are stale)");
     }
     return true;
+  }
+
+  /// The one forward: y = tail(x W + b) with the optional GELU, residual
+  /// add and layernorm stages, in that order. Frozen + no-grad runs one
+  /// pre-packed GEMM with the stages fused into its row strips; otherwise
+  /// the same stages run as an autograd op chain (the unplanned oracle).
+  [[nodiscard]] Variable forward_tail(const Variable& x, bool gelu,
+                                      const Variable* residual = nullptr,
+                                      const Variable* gamma = nullptr,
+                                      const Variable* beta = nullptr,
+                                      float eps = 1e-5f) const {
+    if (fused_ready()) {
+      return Variable::input(tensor::ops::matmul(
+          x.value(), weight_.value(),
+          {.bias = &bias_.value(),
+           .gelu = gelu,
+           .residual = residual ? &residual->value() : nullptr,
+           .gamma = gamma ? &gamma->value() : nullptr,
+           .beta = beta ? &beta->value() : nullptr,
+           .eps = eps},
+          &*packed_));
+    }
+    Variable y = add(matmul(x, weight_), bias_);
+    if (gelu) y = autograd::gelu(y);
+    if (residual != nullptr) y = add(*residual, y);
+    if (gamma != nullptr) y = layernorm(y, *gamma, *beta, eps);
+    return y;
   }
 
   Variable weight_;

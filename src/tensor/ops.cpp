@@ -204,18 +204,17 @@ Tensor reduce_to_shape(const Tensor& t, const Shape& target) {
   return cur;
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
+Tensor matmul(const Tensor& a, const Tensor& b, const Epilogue& epi,
+              const gemm::PackedB* packed) {
   DCHAG_CHECK(a.rank() >= 2 && b.rank() >= 2,
               "matmul ranks " << a.rank() << ", " << b.rank());
   const Index M = a.dim(-2);
   const Index K = a.dim(-1);
-  const Index Kb = b.dim(-2);
   const Index N = b.dim(-1);
-  DCHAG_CHECK(K == Kb, "matmul inner dims " << a.shape().to_string() << " x "
-                                            << b.shape().to_string());
-  const bool shared_b = b.rank() == 2 && a.rank() > 2;
-  Index batch = 1;
-  for (Index d = 0; d < a.rank() - 2; ++d) batch *= a.dim(d);
+  DCHAG_CHECK(K == b.dim(-2), "matmul inner dims " << a.shape().to_string()
+                                                   << " x "
+                                                   << b.shape().to_string());
+  const bool shared_b = b.rank() == 2;
   if (!shared_b) {
     DCHAG_CHECK(a.rank() == b.rank(), "matmul batch rank mismatch");
     for (Index d = 0; d < a.rank() - 2; ++d)
@@ -223,108 +222,45 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                             << a.shape().to_string() << " x "
                                             << b.shape().to_string());
   }
+  DCHAG_CHECK(packed == nullptr || (shared_b && packed->matches(K, N)),
+              "packed panels are for a shared [" << (packed ? packed->K : 0)
+                                                 << ", "
+                                                 << (packed ? packed->N : 0)
+                                                 << "] B, got "
+                                                 << b.shape().to_string());
   auto out_dims = a.shape().dims();
   out_dims.back() = N;
   Tensor out(Shape(std::move(out_dims)));
+  Index R = 1;  // flattened output rows: batch * M
+  for (Index d = 0; d < a.rank() - 1; ++d) R *= a.dim(d);
+
+  if (epi.bias != nullptr)
+    DCHAG_CHECK(epi.bias->shape() == Shape{N}, "epilogue bias must be ["
+                                                   << N << "]");
+  if (epi.residual != nullptr)
+    DCHAG_CHECK(epi.residual->shape() == out.shape(),
+                "epilogue residual shape "
+                    << epi.residual->shape().to_string());
+  const bool has_ln = epi.gamma != nullptr || epi.beta != nullptr;
+  if (has_ln)
+    DCHAG_CHECK(epi.gamma != nullptr && epi.beta != nullptr &&
+                    epi.gamma->shape() == Shape{N} &&
+                    epi.beta->shape() == Shape{N},
+                "epilogue layernorm gamma/beta must both be [" << N << "]");
+  DCHAG_CHECK(!(epi.softmax && has_ln),
+              "epilogue cannot apply both softmax and layernorm");
 
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  const KernelConfig cfg = kernel_config();
-  if (cfg.backend == KernelBackend::kNaive) {
-    for (Index bi = 0; bi < batch; ++bi) {
-      const float* A = pa + bi * M * K;
-      const float* B = pb + (shared_b ? 0 : bi * K * N);
-      float* C = po + bi * M * N;
-      for (Index i = 0; i < M; ++i) {
-        float* crow = C + i * N;
-        for (Index k = 0; k < K; ++k) {
-          const float av = A[i * K + k];
-          if (av == 0.0f) continue;
-          const float* brow = B + k * N;
-          for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  } else {
-    // Blocked GEMM over row strips of the flattened [batch*M] row space.
-    // Strip boundaries never change any C element's accumulation order,
-    // so kBlocked and kParallel are bit-identical at every lane count.
-    auto run_rows = [&](Index r0, Index r1) {
-      while (r0 < r1) {
-        const Index bi = r0 / M;
-        const Index i0 = r0 - bi * M;
-        const Index rows = std::min(r1 - r0, M - i0);
-        gemm::gemm_blocked(rows, N, K, pa + (bi * M + i0) * K, K,
-                           pb + (shared_b ? 0 : bi * K * N), N,
-                           po + (bi * M + i0) * N, N);
-        r0 += rows;
-      }
-    };
-    // Aim for strips of >= ~1 MFLOP so fork/join stays in the noise.
-    const Index flops_per_row = 2 * N * K;
-    const Index grain =
-        std::max<Index>(1, (1 << 20) / std::max<Index>(1, flops_per_row));
-    if (cfg.backend == KernelBackend::kParallel) {
-      active_pool().parallel_for(batch * M, grain, run_rows, cfg.threads);
-    } else {
-      run_rows(0, batch * M);
-    }
-  }
-  g_flops.fetch_add(
-      static_cast<std::uint64_t>(2) * static_cast<std::uint64_t>(batch) *
-          static_cast<std::uint64_t>(M) * static_cast<std::uint64_t>(N) *
-          static_cast<std::uint64_t>(K),
-      std::memory_order_relaxed);
-  return out;
-}
-
-Tensor linear_fused(const Tensor& x, const Tensor& w,
-                    const gemm::PackedB* packed, const LinearEpilogue& epi) {
-  DCHAG_CHECK(x.rank() >= 2 && w.rank() == 2,
-              "linear_fused ranks " << x.rank() << ", " << w.rank());
-  const Index K = x.dim(-1);
-  const Index N = w.dim(1);
-  DCHAG_CHECK(w.dim(0) == K, "linear_fused inner dims "
-                                 << x.shape().to_string() << " x "
-                                 << w.shape().to_string());
-  DCHAG_CHECK(packed == nullptr || packed->matches(K, N),
-              "packed panels are for [" << (packed ? packed->K : 0) << ", "
-                                        << (packed ? packed->N : 0)
-                                        << "], weight is ["
-                                        << K << ", " << N << "]");
-  auto out_dims = x.shape().dims();
-  out_dims.back() = N;
-  Tensor out(Shape(std::move(out_dims)));
-  const Index R = x.numel() / K;  // flattened row count
-
-  if (epi.bias != nullptr)
-    DCHAG_CHECK(epi.bias->shape() == Shape{N}, "fused bias must be [" << N
-                                                                      << "]");
-  if (epi.residual != nullptr)
-    DCHAG_CHECK(epi.residual->shape() == out.shape(),
-                "fused residual shape " << epi.residual->shape().to_string());
-  const bool has_ln = epi.ln_gamma != nullptr;
-  if (has_ln)
-    DCHAG_CHECK(epi.ln_beta != nullptr &&
-                    epi.ln_gamma->shape() == Shape{N} &&
-                    epi.ln_beta->shape() == Shape{N},
-                "fused layernorm gamma/beta must be [" << N << "]");
-
-  const float* px = x.data();
-  const float* pw = w.data();
   const float* pbias = epi.bias ? epi.bias->data() : nullptr;
   const float* pres = epi.residual ? epi.residual->data() : nullptr;
-  const float* pg = has_ln ? epi.ln_gamma->data() : nullptr;
-  const float* pb = has_ln ? epi.ln_beta->data() : nullptr;
-  float* po = out.data();
 
-  // Each stage repeats its standalone op's scalar code on a completed
-  // row; residual order (value + residual) is the bitwise-equal mirror of
-  // the unfused add(residual, value).
   auto epilogue_rows = [&](Index r0, Index r1) {
     for (Index r = r0; r < r1; ++r) {
       float* crow = po + r * N;
+      if (epi.scale != 1.0f)
+        for (Index j = 0; j < N; ++j) crow[j] = crow[j] * epi.scale;
       if (pbias != nullptr)
         for (Index j = 0; j < N; ++j) crow[j] = crow[j] + pbias[j];
       if (epi.gelu)
@@ -333,35 +269,50 @@ Tensor linear_fused(const Tensor& x, const Tensor& w,
         const float* rrow = pres + r * N;
         for (Index j = 0; j < N; ++j) crow[j] = crow[j] + rrow[j];
       }
-      if (has_ln) ln_row(crow, crow, N, pg, pb, epi.ln_eps, nullptr, nullptr);
+      if (epi.softmax) softmax_row(crow, crow, N);
+      if (has_ln)
+        ln_row(crow, crow, N, epi.gamma->data(), epi.beta->data(), epi.eps,
+               nullptr, nullptr);
     }
   };
+  // B for flattened row r: the shared matrix, or r's batch slice.
+  auto b_for = [&](Index r) { return pb + (shared_b ? 0 : r / M * K * N); };
 
   const KernelConfig cfg = kernel_config();
   if (cfg.backend == KernelBackend::kNaive) {
     for (Index r = 0; r < R; ++r) {
       float* crow = po + r * N;
-      const float* arow = px + r * K;
+      const float* arow = pa + r * K;
+      const float* B = b_for(r);
       for (Index k = 0; k < K; ++k) {
         const float av = arow[k];
         if (av == 0.0f) continue;
-        const float* brow = pw + k * N;
+        const float* brow = B + k * N;
         for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
       }
     }
     epilogue_rows(0, R);
   } else {
-    const bool use_packed = packed != nullptr;
+    // Blocked GEMM over row strips of the flattened row space. Per-call
+    // packing splits a strip at batch boundaries; pre-packed panels serve
+    // the whole strip. Strip boundaries never change any C element's
+    // accumulation order, so kBlocked and kParallel are bit-identical at
+    // every lane count.
     auto run_rows = [&](Index r0, Index r1) {
-      if (use_packed) {
-        gemm::gemm_blocked_prepacked(r1 - r0, px + r0 * K, K, *packed,
-                                     po + r0 * N, N);
-      } else {
-        gemm::gemm_blocked(r1 - r0, N, K, px + r0 * K, K, pw, N, po + r0 * N,
-                           N);
+      for (Index r = r0; r < r1;) {
+        const Index rows = packed ? r1 - r : std::min(r1 - r, M - r % M);
+        if (packed != nullptr) {
+          gemm::gemm_blocked_prepacked(rows, pa + r * K, K, *packed,
+                                       po + r * N, N);
+        } else {
+          gemm::gemm_blocked(rows, N, K, pa + r * K, K, b_for(r), N,
+                             po + r * N, N);
+        }
+        r += rows;
       }
       epilogue_rows(r0, r1);
     };
+    // Aim for strips of >= ~1 MFLOP so fork/join stays in the noise.
     const Index flops_per_row = 2 * N * K;
     const Index grain =
         std::max<Index>(1, (1 << 20) / std::max<Index>(1, flops_per_row));
@@ -371,92 +322,11 @@ Tensor linear_fused(const Tensor& x, const Tensor& w,
       run_rows(0, R);
     }
   }
-  g_flops.fetch_add(
-      static_cast<std::uint64_t>(2) * static_cast<std::uint64_t>(R) *
-          static_cast<std::uint64_t>(N) * static_cast<std::uint64_t>(K),
-      std::memory_order_relaxed);
-  return out;
-}
-
-Tensor matmul_scale_softmax(const Tensor& a, const Tensor& b, float s) {
-  DCHAG_CHECK(a.rank() >= 2 && b.rank() >= 2,
-              "matmul_scale_softmax ranks " << a.rank() << ", " << b.rank());
-  const Index M = a.dim(-2);
-  const Index K = a.dim(-1);
-  const Index N = b.dim(-1);
-  DCHAG_CHECK(K == b.dim(-2), "matmul_scale_softmax inner dims "
-                                  << a.shape().to_string() << " x "
-                                  << b.shape().to_string());
-  const bool shared_b = b.rank() == 2 && a.rank() > 2;
-  Index batch = 1;
-  for (Index d = 0; d < a.rank() - 2; ++d) batch *= a.dim(d);
-  if (!shared_b) {
-    DCHAG_CHECK(a.rank() == b.rank(), "matmul_scale_softmax batch rank");
-    for (Index d = 0; d < a.rank() - 2; ++d)
-      DCHAG_CHECK(a.dim(d) == b.dim(d), "matmul_scale_softmax batch dims");
-  }
-  auto out_dims = a.shape().dims();
-  out_dims.back() = N;
-  Tensor out(Shape(std::move(out_dims)));
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-
-  // scale then softmax on a completed score row — the same scalar ops as
-  // ops::scale + ops::softmax_lastdim, fused into the matmul's strips.
-  auto epilogue_rows = [&](Index r0, Index r1) {
-    for (Index r = r0; r < r1; ++r) {
-      float* crow = po + r * N;
-      for (Index j = 0; j < N; ++j) crow[j] = crow[j] * s;
-      softmax_row(crow, crow, N);
-    }
-  };
-
-  const KernelConfig cfg = kernel_config();
-  if (cfg.backend == KernelBackend::kNaive) {
-    for (Index bi = 0; bi < batch; ++bi) {
-      const float* A = pa + bi * M * K;
-      const float* B = pb + (shared_b ? 0 : bi * K * N);
-      float* C = po + bi * M * N;
-      for (Index i = 0; i < M; ++i) {
-        float* crow = C + i * N;
-        for (Index k = 0; k < K; ++k) {
-          const float av = A[i * K + k];
-          if (av == 0.0f) continue;
-          const float* brow = B + k * N;
-          for (Index j = 0; j < N; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-    epilogue_rows(0, batch * M);
-  } else {
-    auto run_rows = [&](Index r0, Index r1) {
-      Index r = r0;
-      while (r < r1) {
-        const Index bi = r / M;
-        const Index i0 = r - bi * M;
-        const Index rows = std::min(r1 - r, M - i0);
-        gemm::gemm_blocked(rows, N, K, pa + (bi * M + i0) * K, K,
-                           pb + (shared_b ? 0 : bi * K * N), N,
-                           po + (bi * M + i0) * N, N);
-        r += rows;
-      }
-      epilogue_rows(r0, r1);
-    };
-    const Index flops_per_row = 2 * N * K;
-    const Index grain =
-        std::max<Index>(1, (1 << 20) / std::max<Index>(1, flops_per_row));
-    if (cfg.backend == KernelBackend::kParallel) {
-      active_pool().parallel_for(batch * M, grain, run_rows, cfg.threads);
-    } else {
-      run_rows(0, batch * M);
-    }
-  }
-  g_flops.fetch_add(
-      static_cast<std::uint64_t>(2) * static_cast<std::uint64_t>(batch) *
-          static_cast<std::uint64_t>(M) * static_cast<std::uint64_t>(N) *
-          static_cast<std::uint64_t>(K),
-      std::memory_order_relaxed);
+  g_flops.fetch_add(static_cast<std::uint64_t>(2) *
+                        static_cast<std::uint64_t>(R) *
+                        static_cast<std::uint64_t>(N) *
+                        static_cast<std::uint64_t>(K),
+                    std::memory_order_relaxed);
   return out;
 }
 

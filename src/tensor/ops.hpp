@@ -36,41 +36,32 @@ Tensor reduce_to_shape(const Tensor& t, const Shape& target);
 
 // ----- linear algebra -------------------------------------------------------
 
-/// Batched matmul: a is [*, M, K]; b is [*, K, N] with identical leading
-/// dims, or rank-2 [K, N] shared across the batch.
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-// ----- fused serving kernels -------------------------------------------------
-//
-// Rowwise epilogues folded into the GEMM tail: each parallel row strip
-// finishes complete output rows, so bias/activation/residual/layernorm
-// run in the same task that produced them instead of separate ThreadPool
-// fan-outs (and separate output tensors). Every stage reuses the exact
-// scalar code of its standalone op, and residual addition only swaps the
-// operand order of a commutative float add, so fused outputs are
-// bit-identical to the unfused op chain — the parity suites assert this.
-
-/// Optional tail stages of linear_fused, applied in declaration order:
-/// bias add, GELU, residual add, layernorm.
-struct LinearEpilogue {
+/// Rowwise tail stages matmul applies to each completed output row, in
+/// this order: scale, bias add, GELU, residual add, then softmax or
+/// layernorm (never both). Each stage runs the exact scalar code of its
+/// standalone op, and the residual add only swaps the operand order of a
+/// commutative float add, so a fused matmul is bit-identical to the
+/// unfused op chain — the parity suites assert this. Every stage runs in
+/// the row strip that produced the row, not in a separate fan-out.
+struct Epilogue {
+  float scale = 1.0f;                ///< ops::scale; skipped at 1
   const Tensor* bias = nullptr;      ///< [N], broadcast over rows
   bool gelu = false;
   const Tensor* residual = nullptr;  ///< same shape as the output
-  const Tensor* ln_gamma = nullptr;  ///< [N]; with ln_beta, layernorm tail
-  const Tensor* ln_beta = nullptr;   ///< [N]
-  float ln_eps = 1e-5f;
+  bool softmax = false;              ///< ops::softmax_lastdim
+  const Tensor* gamma = nullptr;     ///< [N]; with beta, layernorm tail
+  const Tensor* beta = nullptr;      ///< [N]
+  float eps = 1e-5f;
 };
 
-/// x [*, M, K] times shared w [K, N] with the epilogue fused into each
-/// row strip. `packed` (from gemm::pack_b_matrix, matching w) removes
-/// pack_b from the per-call path on the blocked/parallel backends; pass
-/// nullptr to pack per call.
-Tensor linear_fused(const Tensor& x, const Tensor& w,
-                    const gemm::PackedB* packed, const LinearEpilogue& epi);
-
-/// softmax_lastdim(scale(matmul(a, b), s)) with the scale+softmax rows
-/// fused into the matmul's row strips (the attention score path).
-Tensor matmul_scale_softmax(const Tensor& a, const Tensor& b, float s);
+/// Batched matmul with an optional fused epilogue: a is [*, M, K]; b is
+/// [*, K, N] with identical leading dims, or rank-2 [K, N] shared across
+/// the batch. `packed` (gemm::pack_b_matrix of a shared b) removes pack_b
+/// from the per-call path on the blocked/parallel backends. Throws Error
+/// for a `packed` with batched b or of another shape, and for softmax
+/// combined with layernorm.
+Tensor matmul(const Tensor& a, const Tensor& b, const Epilogue& epi = {},
+              const gemm::PackedB* packed = nullptr);
 
 Tensor transpose_last2(const Tensor& a);
 Tensor permute(const Tensor& a, const std::vector<Index>& perm);

@@ -137,6 +137,30 @@ TEST(RankFailure, RespawnedRankRejoinsWithoutRefiringItsDeath) {
   EXPECT_EQ(respawned_sum, 15.0f);
 }
 
+TEST(RankFailure, RecoveryGroupBindsLateRanksAndChecksMembership) {
+  World world(2);
+  world.run([&](Communicator& comm) {
+    if (comm.world_rank() != 0) return;
+    const std::vector<int> both{0, 1};
+    Communicator first = comm.split_survivors_for(0, both, "late");
+    // A rank that rendezvouses later binds to the same live group...
+    Communicator late = comm.split_survivors_for(1, both, "late");
+    float late_sum = 0.0f;
+    std::thread peer([&late_sum, h = std::move(late)]() mutable {
+      std::vector<float> x{2.0f};
+      h.all_reduce(x);
+      late_sum = x[0];
+    });
+    std::vector<float> x{1.0f};
+    first.all_reduce(x);
+    peer.join();
+    EXPECT_EQ(x[0], 3.0f);
+    EXPECT_EQ(late_sum, 3.0f);
+    // ...and a different membership under a live tag is refused.
+    EXPECT_THROW((void)comm.split_survivors_for(0, {0}, "late"), Error);
+  });
+}
+
 TEST(RankFailure, DescribeIsAOneLineReproOfTheSchedule) {
   FaultSpec s;
   s.seed = 404;

@@ -2,9 +2,9 @@
 //  * gemm_blocked_prepacked is bit-identical to gemm_blocked (same packed
 //    panels, same loop order) on every shape the block/offset bookkeeping
 //    could mishandle, and the packed storage is 32-byte aligned;
-//  * the fused epilogue ops (linear_fused, matmul_scale_softmax,
-//    layernorm_value) are bit-identical to the unfused op chains they
-//    replace, on every backend;
+//  * ops::matmul with an Epilogue (per call or on pre-packed panels) and
+//    layernorm_value are bit-identical to the unfused op chains they
+//    replace, on every backend, and descriptors that cannot apply throw;
 //  * the Arena reuses buffers (zero heap allocations once warm), zeroes
 //    them on acquire, and buffers outlive the arena itself.
 #include <gtest/gtest.h>
@@ -95,8 +95,8 @@ TEST(GemmPrepacked, PackMatchesRejectsOtherShapes) {
 
 // ----- fused epilogues -------------------------------------------------------
 
-/// linear_fused (packed and per-call) vs the unfused op chain for a given
-/// epilogue, bitwise, on the active backend.
+/// ops::matmul with a Linear-style epilogue (packed and per-call) vs the
+/// unfused op chain, bitwise, on the active backend.
 void expect_fused_linear_parity(const Shape& x_shape, Index N,
                                 std::uint64_t seed) {
   const Index K = x_shape.dim(-1);
@@ -112,28 +112,23 @@ void expect_fused_linear_parity(const Shape& x_shape, Index N,
   Tensor base = ops::add(ops::matmul(x, w), bias);
   Tensor residual = rng.normal_tensor(base.shape(), 0.0f, s);
 
-  ops::LinearEpilogue bias_only;
-  bias_only.bias = &bias;
-  ops::LinearEpilogue bias_gelu = bias_only;
-  bias_gelu.gelu = true;
-  ops::LinearEpilogue bias_res = bias_only;
-  bias_res.residual = &residual;
-  ops::LinearEpilogue full = bias_res;
-  full.ln_gamma = &gamma;
-  full.ln_beta = &beta;
+  const ops::Epilogue bias_only{.bias = &bias};
+  const ops::Epilogue bias_gelu{.bias = &bias, .gelu = true};
+  const ops::Epilogue bias_res{.bias = &bias, .residual = &residual};
+  const ops::Epilogue full{
+      .bias = &bias, .residual = &residual, .gamma = &gamma, .beta = &beta};
 
   for (const gemm::PackedB* packed : {&pb, static_cast<gemm::PackedB*>(nullptr)}) {
-    EXPECT_EQ(ops::max_abs_diff(ops::linear_fused(x, w, packed, bias_only),
-                                base),
+    EXPECT_EQ(ops::max_abs_diff(ops::matmul(x, w, bias_only, packed), base),
               0.0f);
-    EXPECT_EQ(ops::max_abs_diff(ops::linear_fused(x, w, packed, bias_gelu),
+    EXPECT_EQ(ops::max_abs_diff(ops::matmul(x, w, bias_gelu, packed),
                                 ops::gelu(base)),
               0.0f);
-    EXPECT_EQ(ops::max_abs_diff(ops::linear_fused(x, w, packed, bias_res),
+    EXPECT_EQ(ops::max_abs_diff(ops::matmul(x, w, bias_res, packed),
                                 ops::add(residual, base)),
               0.0f);
     EXPECT_EQ(
-        ops::max_abs_diff(ops::linear_fused(x, w, packed, full),
+        ops::max_abs_diff(ops::matmul(x, w, full, packed),
                           ops::layernorm(ops::add(residual, base), gamma,
                                          beta)
                               .y),
@@ -157,20 +152,48 @@ TEST(FusedEpilogues, MatmulScaleSoftmaxBitIdenticalAcrossBackends) {
   Tensor bt = rng.normal_tensor(Shape{2, 3, 8, 13}, 0.0f, 0.35f);
   Tensor b2 = rng.normal_tensor(Shape{8, 13}, 0.0f, 0.35f);  // shared B
   const float s = 1.0f / std::sqrt(8.0f);
+  const gemm::PackedB pb2 = gemm::pack_b_matrix(b2.data(), 8, 13, 13);
+  const ops::Epilogue scale_softmax{.scale = s, .softmax = true};
+  // Bias over a batched B: every batch slice gets the same row bias.
+  Tensor bias = rng.normal_tensor(Shape{13});
   for (KernelBackend b : {KernelBackend::kNaive, KernelBackend::kBlocked,
                           KernelBackend::kParallel}) {
     runtime::Scope scope(backend_patch(b));
     EXPECT_EQ(
-        ops::max_abs_diff(ops::matmul_scale_softmax(a, bt, s),
+        ops::max_abs_diff(ops::matmul(a, bt, scale_softmax),
                           ops::softmax_lastdim(ops::scale(ops::matmul(a, bt),
                                                           s))),
         0.0f);
-    EXPECT_EQ(
-        ops::max_abs_diff(ops::matmul_scale_softmax(a, b2, s),
-                          ops::softmax_lastdim(ops::scale(ops::matmul(a, b2),
-                                                          s))),
-        0.0f);
+    const Tensor shared_ref =
+        ops::softmax_lastdim(ops::scale(ops::matmul(a, b2), s));
+    EXPECT_EQ(ops::max_abs_diff(ops::matmul(a, b2, scale_softmax),
+                                shared_ref),
+              0.0f);
+    EXPECT_EQ(ops::max_abs_diff(ops::matmul(a, b2, scale_softmax, &pb2),
+                                shared_ref),
+              0.0f);
+    EXPECT_EQ(ops::max_abs_diff(ops::matmul(a, bt, {.bias = &bias}),
+                                ops::add(ops::matmul(a, bt), bias)),
+              0.0f);
   }
+}
+
+TEST(FusedEpilogues, DescriptorsThatCannotApplyThrowTyped) {
+  Rng rng(16);
+  Tensor a = rng.normal_tensor(Shape{2, 5, 8});
+  Tensor batched = rng.normal_tensor(Shape{2, 8, 6});
+  Tensor w = rng.normal_tensor(Shape{8, 6});
+  Tensor gamma(Shape{6}, 1.0f);
+  Tensor beta(Shape{6}, 0.0f);
+  const gemm::PackedB pb = gemm::pack_b_matrix(w.data(), 8, 6, 6);
+  const gemm::PackedB other = gemm::pack_b_matrix(w.data(), 6, 8, 8);
+  // Pre-packed panels only stand in for one shared B of their shape.
+  EXPECT_THROW((void)ops::matmul(a, batched, {}, &pb), Error);
+  EXPECT_THROW((void)ops::matmul(a, w, {}, &other), Error);
+  EXPECT_THROW((void)ops::matmul(
+                   a, w, {.softmax = true, .gamma = &gamma, .beta = &beta}),
+               Error);
+  EXPECT_EQ(ops::matmul(a, w, {}, &pb).shape(), (Shape{2, 5, 6}));
 }
 
 TEST(FusedEpilogues, LayernormValueMatchesLayernormY) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 namespace dchag::model {
 namespace {
 
@@ -20,13 +23,65 @@ TEST(ViTEncoder, ShapeAndBlocks) {
   EXPECT_EQ(enc.forward(Variable::input(x)).shape(), (Shape{2, 5, 32}));
 }
 
+/// The pre-LN ViT encoder written out as a plain autograd op chain over
+/// `p`, the encoder's parameters in registration order.
+Variable reference_encoder(const Variable& x, const std::vector<Variable>& p,
+                           const ModelConfig& cfg) {
+  std::size_t i = 0;
+  auto linear = [&](const Variable& in) {
+    const Variable& w = p[i++];
+    return autograd::add(autograd::matmul(in, w), p[i++]);
+  };
+  auto layernorm = [&](const Variable& in) {
+    const Variable& g = p[i++];
+    return autograd::layernorm(in, g, p[i++]);
+  };
+  const float s = 1.0f / std::sqrt(static_cast<float>(cfg.head_dim()));
+  Variable h = x;
+  for (tensor::Index b = 0; b < cfg.num_layers; ++b) {
+    const Variable a = layernorm(h);
+    const Variable q = detail::split_heads(linear(a), cfg.num_heads);
+    const Variable k = detail::split_heads(linear(a), cfg.num_heads);
+    const Variable v = detail::split_heads(linear(a), cfg.num_heads);
+    const Variable scores = autograd::scale(
+        autograd::matmul(q, autograd::transpose_last2(k)), s);
+    const Variable attn =
+        autograd::matmul(autograd::softmax_lastdim(scores), v);
+    h = autograd::add(h, linear(detail::merge_heads(attn)));
+    h = autograd::add(h, linear(autograd::gelu(linear(layernorm(h)))));
+  }
+  return layernorm(h);
+}
+
+// Every parameter gets a gradient, bitwise equal to the explicit chain's.
 TEST(ViTEncoder, GradsFlowThroughAllBlocks) {
   ModelConfig cfg = ModelConfig::tiny();
   Rng rng(2);
   ViTEncoder enc(cfg, rng);
-  Tensor x = rng.normal_tensor(Shape{1, 4, cfg.embed_dim});
-  autograd::sum_all(enc.forward(Variable::input(x))).backward();
-  for (const auto& p : enc.parameters()) EXPECT_TRUE(p.has_grad()) << p.name();
+  const Tensor xv = rng.normal_tensor(Shape{2, 5, cfg.embed_dim});
+  const Variable r = Variable::input(rng.normal_tensor(xv.shape()));
+  const std::vector<Variable> params = enc.parameters();
+
+  auto run = [&](auto&& forward) {
+    enc.zero_grad();
+    Variable x = Variable::leaf(xv, /*requires_grad=*/true);
+    Variable y = forward(x);
+    autograd::sum_all(autograd::mul(y, r)).backward();
+    std::vector<Tensor> out{y.value(), x.grad()};
+    for (const Variable& p : params) out.push_back(p.grad());
+    return out;
+  };
+  const std::vector<Tensor> got =
+      run([&](const Variable& x) { return enc.forward(x); });
+  const std::vector<Tensor> want = run(
+      [&](const Variable& x) { return reference_encoder(x, params, cfg); });
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::string what = i == 0   ? "output"
+                             : i == 1 ? "input grad"
+                                      : params[i - 2].name();
+    ASSERT_TRUE(got[i].defined()) << what;
+    EXPECT_EQ(ops::max_abs_diff(got[i], want[i]), 0.0f) << what;
+  }
 }
 
 TEST(LocalFrontEnd, BaselineProducesSpatialTokens) {
