@@ -4,9 +4,19 @@
 //
 // The *Backend benches sweep the runtime-dispatched kernel backends
 // (0 = naive, 1 = blocked, 2 = parallel; tensor/kernel_config.hpp).
-// `micro_kernels --benchmark_filter=Backend --benchmark_out=BENCH_kernels.json
-// --benchmark_out_format=json` regenerates the committed BENCH_kernels.json
-// that scripts/bench_compare.py gates on (see .github/workflows/ci.yml).
+// The RowKernel and Permute benches time the transcendental row kernels
+// and the head split at the shapes the D-CHAG serving model runs them
+// (tensor/row_kernels.hpp), on the blocked backend.
+//
+// From a Release build, this command (one line, shown wrapped)
+// regenerates the committed BENCH_kernels.json, which
+// scripts/bench_compare.py gates on (see .github/workflows/ci.yml):
+//   micro_kernels --benchmark_filter='Backend|RowKernel|Permute'
+//     --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
+//     --benchmark_context=nproc=$(nproc)
+//     --benchmark_context=build_type=Release
+//     --benchmark_context=commit=$(git describe --always --dirty)
+//     --benchmark_out=BENCH_kernels.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include "model/aggregation.hpp"
@@ -103,6 +113,57 @@ void BM_ElementwiseBackend(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ElementwiseBackend)->ArgNames({"backend"})->DenseRange(0, 2);
+
+// ----- row kernels at the serving model's shapes ----------------------------
+
+/// Softmax over the aggregation tree's C x C score rows (D = 32) and GELU
+/// over an MLP up-projection ([2048, 256]); items = elements.
+void BM_RowKernelSoftmax(benchmark::State& state) {
+  runtime::Scope scope(
+      runtime::ContextPatch::with_kernels({KernelBackend::kBlocked, 1}));
+  Rng rng(5);
+  Tensor a = rng.normal_tensor(Shape{state.range(0), state.range(1)});
+  for (auto _ : state) {
+    Tensor y = ops::softmax_lastdim(a);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.numel());
+}
+BENCHMARK(BM_RowKernelSoftmax)
+    ->ArgNames({"rows", "d"})
+    ->Args({65536, 32})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_RowKernelGelu(benchmark::State& state) {
+  runtime::Scope scope(
+      runtime::ContextPatch::with_kernels({KernelBackend::kBlocked, 1}));
+  Rng rng(6);
+  Tensor a = rng.normal_tensor(Shape{state.range(0), state.range(1)});
+  for (auto _ : state) {
+    Tensor y = ops::gelu(a);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.numel());
+}
+BENCHMARK(BM_RowKernelGelu)
+    ->ArgNames({"rows", "d"})
+    ->Args({2048, 256})
+    ->Unit(benchmark::kMillisecond);
+
+/// split_heads at the aggregator's [B, N, C, h, dh] = [8, 64, 32, 4, 16]:
+/// head_dim stays innermost, so permute copies 16-float runs.
+void BM_PermuteSplitHeads(benchmark::State& state) {
+  runtime::Scope scope(
+      runtime::ContextPatch::with_kernels({KernelBackend::kBlocked, 1}));
+  Rng rng(7);
+  Tensor a = rng.normal_tensor(Shape{8, 64, 32, 4, 16});
+  for (auto _ : state) {
+    Tensor y = ops::permute(a, {0, 1, 3, 2, 4});
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.numel());
+}
+BENCHMARK(BM_PermuteSplitHeads)->Unit(benchmark::kMillisecond);
 
 void BM_SoftmaxLastDim(benchmark::State& state) {
   Rng rng(2);

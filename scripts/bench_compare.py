@@ -39,12 +39,16 @@ def load_benchmarks(path):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     out = {}
+    medians = {}
     for b in doc.get("benchmarks", []):
-        # Aggregate reports (mean/median/stddev) would double-count;
-        # keep plain iteration rows only.
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        out[b["name"]] = b
+        # A repeated run (--benchmark_repetitions) is read as its median
+        # under the plain benchmark name; the other aggregates (mean,
+        # stddev, cv) are skipped so nothing double-counts.
+        if b.get("run_type", "iteration") == "iteration":
+            out[b["name"]] = b
+        elif b.get("aggregate_name") == "median":
+            medians[b["run_name"]] = b
+    out.update(medians)
     return out
 
 

@@ -38,12 +38,16 @@ KernelConfig kernel_config() {
 }
 
 bool blocked_kernels_supported() {
+  static const bool ok = !gemm::compiled_with_avx2() || cpu_has_avx2_fma();
+  return ok;
+}
+
+bool cpu_has_avx2_fma() {
 #if defined(__x86_64__) || defined(_M_X64)
-  static const bool ok = !gemm::compiled_with_avx2() ||
-                         (__builtin_cpu_supports("avx2") &&
-                          __builtin_cpu_supports("fma"));
+  static const bool ok =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
-  static const bool ok = true;  // gemm.cpp builds generic off x86-64
+  static const bool ok = false;
 #endif
   return ok;
 }

@@ -42,4 +42,9 @@ using runtime::to_string;
 /// never a fault, never an exception, so exotic hosts still run.
 [[nodiscard]] bool blocked_kernels_supported();
 
+/// True when this CPU executes AVX2 and FMA (always false off x86-64).
+/// The one CPUID probe behind both SIMD gates: the blocked GEMM and the
+/// row kernels (row_kernels.hpp).
+[[nodiscard]] bool cpu_has_avx2_fma();
+
 }  // namespace dchag::tensor

@@ -7,6 +7,7 @@
 
 #include "tensor/dispatch.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/row_kernels.hpp"
 
 namespace dchag::tensor::ops {
 
@@ -107,28 +108,22 @@ Tensor unary_op(const Tensor& a, F&& f) {
   return out;
 }
 
-// Shared scalar/row kernels: the standalone ops and the fused GEMM-tail
-// epilogues both call these, which is what makes fused == unfused an
-// identity at the bit level rather than a tolerance.
-
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-
-inline float gelu_scalar(float x) {
-  return 0.5f * x * (1.0f + std::tanh(kGeluC * (x + 0.044715f * x * x * x)));
+/// An elementwise row kernel over each fan-out chunk; every element's
+/// result is independent of where a chunk starts, so any split is exact.
+Tensor row_op(const Tensor& a, void (*kernel)(const float*, float*, Index)) {
+  Tensor out(a.shape());
+  const float* pa = a.data();
+  float* po = out.data();
+  dispatch_range(a.numel(), kEwGrain, [&](Index lo, Index hi) {
+    kernel(pa + lo, po + lo, hi - lo);
+  });
+  return out;
 }
 
-/// One softmax row; orow may alias row (the fused in-place case).
-inline void softmax_row(const float* row, float* orow, Index D) {
-  float mx = row[0];
-  for (Index j = 1; j < D; ++j) mx = std::max(mx, row[j]);
-  float sum = 0.0f;
-  for (Index j = 0; j < D; ++j) {
-    orow[j] = std::exp(row[j] - mx);
-    sum += orow[j];
-  }
-  const float inv = 1.0f / sum;
-  for (Index j = 0; j < D; ++j) orow[j] *= inv;
-}
+// Shared row kernels: the standalone ops and the fused GEMM-tail
+// epilogues both call ln_row and the rowk:: kernels (softmax, GELU),
+// which is what makes fused == unfused an identity at the bit level rather
+// than a tolerance.
 
 /// One layernorm row; yrow may alias row. mean/rstd sinks are optional.
 inline void ln_row(const float* row, float* yrow, Index D, const float* g,
@@ -255,6 +250,7 @@ Tensor matmul(const Tensor& a, const Tensor& b, const Epilogue& epi,
   float* po = out.data();
   const float* pbias = epi.bias ? epi.bias->data() : nullptr;
   const float* pres = epi.residual ? epi.residual->data() : nullptr;
+  const rowk::RowKernels& rk = rowk::row_kernels();
 
   auto epilogue_rows = [&](Index r0, Index r1) {
     for (Index r = r0; r < r1; ++r) {
@@ -263,13 +259,12 @@ Tensor matmul(const Tensor& a, const Tensor& b, const Epilogue& epi,
         for (Index j = 0; j < N; ++j) crow[j] = crow[j] * epi.scale;
       if (pbias != nullptr)
         for (Index j = 0; j < N; ++j) crow[j] = crow[j] + pbias[j];
-      if (epi.gelu)
-        for (Index j = 0; j < N; ++j) crow[j] = gelu_scalar(crow[j]);
+      if (epi.gelu) rk.gelu(crow, crow, N);
       if (pres != nullptr) {
         const float* rrow = pres + r * N;
         for (Index j = 0; j < N; ++j) crow[j] = crow[j] + rrow[j];
       }
-      if (epi.softmax) softmax_row(crow, crow, N);
+      if (epi.softmax) rk.softmax(crow, crow, N);
       if (has_ln)
         ln_row(crow, crow, N, epi.gamma->data(), epi.beta->data(), epi.eps,
                nullptr, nullptr);
@@ -356,14 +351,29 @@ Tensor permute(const Tensor& a, const std::vector<Index>& perm) {
   }
   Shape out_shape{std::vector<Index>(out_dims)};
   Tensor out(out_shape);
+  const Index n = out_shape.numel();
+  if (n == 0) return out;
+  // Trailing dims the permutation leaves in place are one contiguous run
+  // in both tensors (split_heads/merge_heads keep head_dim innermost):
+  // copy whole runs and step the odometer over the leading dims only.
+  Index keep = rank;
+  while (keep > 0 && perm[static_cast<std::size_t>(keep - 1)] == keep - 1)
+    --keep;
+  Index run = 1;
+  for (Index d = keep; d < rank; ++d)
+    run *= out_dims[static_cast<std::size_t>(d)];
   const float* p = a.data();
   float* o = out.data();
-  std::vector<Index> idx(static_cast<std::size_t>(rank), 0);
+  std::vector<Index> idx(static_cast<std::size_t>(keep), 0);
   Index src = 0;
-  const Index n = out_shape.numel();
-  for (Index i = 0; i < n; ++i) {
-    o[i] = p[src];
-    for (Index d = rank - 1; d >= 0; --d) {
+  for (Index i = 0; i < n / run; ++i) {
+    if (run == 1) {
+      o[i] = p[src];
+    } else {
+      std::memcpy(o + i * run, p + src,
+                  static_cast<std::size_t>(run) * sizeof(float));
+    }
+    for (Index d = keep - 1; d >= 0; --d) {
       auto ud = static_cast<std::size_t>(d);
       ++idx[ud];
       src += src_strides[ud];
@@ -381,27 +391,21 @@ Tensor softmax_lastdim(const Tensor& a) {
   Tensor out(a.shape());
   const float* p = a.data();
   float* o = out.data();
+  const rowk::RowKernels& rk = rowk::row_kernels();
   dispatch_range(rows, std::max<Index>(1, kEwGrain / std::max<Index>(1, D)),
                  [&](Index lo, Index hi) {
                    for (Index r = lo; r < hi; ++r)
-                     softmax_row(p + r * D, o + r * D, D);
+                     rk.softmax(p + r * D, o + r * D, D);
                  });
   return out;
 }
 
 Tensor gelu(const Tensor& a) {
-  return unary_op(a, [](float x) { return gelu_scalar(x); });
+  return row_op(a, rowk::row_kernels().gelu);
 }
 
 Tensor gelu_grad(const Tensor& a) {
-  return unary_op(a, [](float x) {
-    const float x3 = x * x * x;
-    const float u = kGeluC * (x + 0.044715f * x3);
-    const float t = std::tanh(u);
-    const float sech2 = 1.0f - t * t;
-    const float du = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-    return 0.5f * (1.0f + t) + 0.5f * x * sech2 * du;
-  });
+  return row_op(a, rowk::row_kernels().gelu_grad);
 }
 
 LayerNormResult layernorm(const Tensor& a, const Tensor& gamma,

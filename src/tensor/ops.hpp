@@ -38,11 +38,12 @@ Tensor reduce_to_shape(const Tensor& t, const Shape& target);
 
 /// Rowwise tail stages matmul applies to each completed output row, in
 /// this order: scale, bias add, GELU, residual add, then softmax or
-/// layernorm (never both). Each stage runs the exact scalar code of its
-/// standalone op, and the residual add only swaps the operand order of a
-/// commutative float add, so a fused matmul is bit-identical to the
-/// unfused op chain — the parity suites assert this. Every stage runs in
-/// the row strip that produced the row, not in a separate fan-out.
+/// layernorm (never both). Each stage runs the exact row code of its
+/// standalone op (softmax and GELU: tensor/row_kernels.hpp), and the
+/// residual add only swaps the operand order of a commutative float add,
+/// so a fused matmul is bit-identical to the unfused op chain — the
+/// parity suites assert this. Every stage runs in the row strip that
+/// produced the row, not in a separate fan-out.
 struct Epilogue {
   float scale = 1.0f;                ///< ops::scale; skipped at 1
   const Tensor* bias = nullptr;      ///< [N], broadcast over rows
@@ -69,7 +70,8 @@ Tensor permute(const Tensor& a, const std::vector<Index>& perm);
 // ----- nonlinearities / normalisation ---------------------------------------
 
 Tensor softmax_lastdim(const Tensor& a);
-/// GELU with tanh approximation (matches the PyTorch default used by ViTs).
+/// GELU with tanh approximation (matches the PyTorch default used by ViTs),
+/// evaluated as x / (1 + exp(-2u)) by the row kernels.
 Tensor gelu(const Tensor& a);
 Tensor gelu_grad(const Tensor& a);  // d gelu / d a, elementwise
 
