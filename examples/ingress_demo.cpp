@@ -121,9 +121,9 @@ int main() {
       metrics.find("dchag_ingress_workers") != std::string::npos;
 
   server.drain();
-  const ingress::Counters::Snapshot c = server.counters();
+  const serve::Metrics::Snapshot c = server.metrics();
   const bool accounted =
-      c.accepted == c.completed && c.accepted == 48 &&
+      c.accepted == c.requests && c.accepted == 48 &&
       c.rejected_saturated == 0 && c.worker_restarts == 0;
 
   std::remove(ckpt.c_str());

@@ -123,7 +123,7 @@ int main() {
   std::printf("served == direct no-grad forward bit-for-bit: %s "
               "(%d/%zu mismatches)\n",
               mismatches == 0 ? "yes" : "NO", mismatches, futures.size());
-  std::printf("metrics: %s\n", m.to_string().c_str());
+  std::printf("/metrics:\n%s", m.to_exposition().c_str());
 
   const bool coalesced = m.mean_batch_size > 1.0;
   std::printf("batched coalescing (mean batch > 1): %s\n",

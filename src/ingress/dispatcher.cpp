@@ -20,6 +20,8 @@ namespace dchag::ingress {
 
 namespace {
 
+using Event = serve::Metrics::Event;
+
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -186,19 +188,19 @@ std::size_t Ingress::queue_depth() const {
   return queue_.size();
 }
 
-Counters::Snapshot Ingress::counters() const {
-  std::size_t workers = 0, depth = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& w : workers_)
-      if (!w->retiring) ++workers;
-    depth = queue_.size();
-  }
-  return counters_.snapshot(workers, depth);
+serve::Metrics::Snapshot Ingress::metrics() const {
+  serve::Metrics::Snapshot s = metrics_.summary();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& w : workers_)
+    if (!w->retiring) ++s.workers;
+  s.queue_depth = queue_.size();
+  s.completed = s.requests;
+  s.worker_restarts = s.recoveries;
+  return s;
 }
 
 std::string Ingress::metrics_text() const {
-  return metrics_.summary().to_exposition() + counters().to_exposition();
+  return metrics().to_exposition();
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ void Ingress::accept_loop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    counters_.connection();
+    metrics_.record(Event::kConnection);
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
     {
@@ -241,13 +243,13 @@ void Ingress::handle_infer(const std::shared_ptr<Conn>& conn,
   try {
     req = decode_infer(frame.payload.data(), frame.payload.size());
   } catch (const IngressError& e) {
-    counters_.reject_bad();
+    metrics_.record(Event::kRejectedBad);
     send_error(conn, 0, e.code(), e.what());
     return;
   }
   if (static_cast<std::uint64_t>(req.images.numel()) >
       cfg_.ring.max_payload_floats) {
-    counters_.reject_bad();
+    metrics_.record(Event::kRejectedBad);
     send_error(conn, req.id, ErrorCode::kBadRequest,
                "sample exceeds the ring payload budget");
     return;
@@ -274,16 +276,16 @@ void Ingress::handle_infer(const std::shared_ptr<Conn>& conn,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
-      counters_.reject_draining();
+      metrics_.record(Event::kRejectedDraining);
       reject = ErrorCode::kShuttingDown;
     } else if (queue_.size() >= cfg_.queue_capacity) {
-      counters_.reject_saturated();
+      metrics_.record(Event::kRejectedSaturated);
       reject = ErrorCode::kSaturated;
     } else {
       job.ingress_id = next_ingress_id_++;
       job.hdr.id = job.ingress_id;
       queue_.push_back(std::move(job));
-      counters_.accept();
+      metrics_.record(Event::kAccepted);
       metrics_.observe_queue_depth(queue_.size());
       metrics_.mark_window(now_ms());
       work_cv_.notify_all();
@@ -303,7 +305,7 @@ void Ingress::connection_loop(std::shared_ptr<Conn> conn) {
       frame = read_frame(conn->fd);
     } catch (const IngressError& e) {
       // Framing violations desynchronize the stream; answer and hang up.
-      counters_.reject_bad();
+      metrics_.record(Event::kRejectedBad);
       send_error(conn, 0, e.code(), e.what());
       break;
     }
@@ -341,7 +343,7 @@ void Ingress::connection_loop(std::shared_ptr<Conn> conn) {
         break;
       }
       default:
-        counters_.reject_bad();
+        metrics_.record(Event::kRejectedBad);
         send_error(conn, 0, ErrorCode::kBadRequest,
                    "unexpected frame type from client");
         break;
@@ -425,7 +427,7 @@ void Ingress::dispatch_loop() {
 
     // 3. Deliver outside the lock: socket writes must not stall dispatch.
     // Account before writing, so a client that has its answer never
-    // scrapes counters that still lack it.
+    // scrapes metrics that still lack it.
     for (Done& d : done) {
       const auto now = std::chrono::steady_clock::now();
       const double total = ms_between(d.job.accepted, now);
@@ -433,7 +435,6 @@ void Ingress::dispatch_loop() {
       metrics_.record_request(total, queued);
       metrics_.record_batch(1, total - queued);
       metrics_.mark_window(now_ms());
-      counters_.complete();
       if (d.hdr.status == 0) {
         InferResult result;
         result.id = d.job.client_id;
@@ -460,47 +461,17 @@ void Ingress::dispatch_loop() {
 // Health, elasticity, failover
 // ---------------------------------------------------------------------------
 
-void Ingress::fail_over(std::unique_ptr<Worker> dead, bool count_restart) {
-  // Deliver anything the worker answered before dying, then requeue the
-  // rest at the FRONT (their latency budget is already spent).
-  RingResponse resp;
-  std::vector<float> payload;
-  std::string error;
-  while (dead->ring->try_pop_response(&resp, &payload, &error)) {
-    auto it = dead->in_flight.find(resp.id);
-    if (it == dead->in_flight.end()) continue;
-    // Deliver inline: this is the rare path (worker death), contention
-    // with the dispatch thread is irrelevant.
-    Job& job = it->second;
-    metrics_.record_request(
-        ms_between(job.accepted, std::chrono::steady_clock::now()), 0.0);
-    counters_.complete();
-    if (resp.status == 0) {
-      InferResult result;
-      result.id = job.client_id;
-      result.pred =
-          Tensor::from_data(tensor::Shape{resp.s, resp.d}, payload);
-      const std::vector<std::uint8_t> bytes = encode_result(result);
-      std::lock_guard<std::mutex> wlock(job.conn->write_mu);
-      if (job.conn->fd >= 0)
-        write_frame(job.conn->fd, MsgType::kResult, bytes);
-    } else {
-      send_error(job.conn, job.client_id,
-                 static_cast<ErrorCode>(resp.status), error);
-    }
-    dead->in_flight.erase(it);
-  }
-
+void Ingress::fail_over(std::unique_ptr<Worker> dead) {
   // in_flight is keyed by ingress_id: pushing its jobs to the front
-  // newest first leaves them at the head in admission order.
+  // newest first leaves them at the head in admission order (their
+  // latency budget is already spent).
   const std::size_t orphans = dead->in_flight.size();
   for (auto it = dead->in_flight.rbegin(); it != dead->in_flight.rend(); ++it)
     queue_.push_front(std::move(it->second));
   if (orphans != 0) {
-    counters_.redispatch(orphans);
+    metrics_.record(Event::kRedispatch, orphans);
     work_cv_.notify_all();
   }
-  if (count_restart) counters_.worker_restart();
   dead->ring->unlink();
 }
 
@@ -536,7 +507,7 @@ void Ingress::monitor_loop() {
           workers_.erase(workers_.begin() + static_cast<std::ptrdiff_t>(i));
           const bool crashed = !gone->retiring;
           const auto t0 = std::chrono::steady_clock::now();
-          fail_over(std::move(gone), /*count_restart=*/crashed);
+          fail_over(std::move(gone));
           if (crashed) {
             metrics_.record_recovery(
                 ms_between(t0, std::chrono::steady_clock::now()));
@@ -555,11 +526,11 @@ void Ingress::monitor_loop() {
         if (queue_.size() >= cfg_.scale_up_depth &&
             target < cfg_.max_workers) {
           ++target;
-          counters_.scale_up();
+          metrics_.record(Event::kScaleUp);
         } else if (!busy && target > cfg_.min_workers &&
                    now - last_busy_ > cfg_.scale_down_idle) {
           --target;
-          counters_.scale_down();
+          metrics_.record(Event::kScaleDown);
           // Retire the newest non-retiring worker via its control word;
           // it exits cleanly and the reap above forgets it.
           for (auto it = workers_.rbegin(); it != workers_.rend(); ++it) {

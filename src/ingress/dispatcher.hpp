@@ -39,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "ingress/counters.hpp"
 #include "ingress/shm_ring.hpp"
 #include "ingress/worker.hpp"
 #include "runtime/context.hpp"
@@ -103,15 +102,17 @@ class Ingress {
   /// stop workers via their control word, reap and unlink. Idempotent.
   void drain();
 
-  [[nodiscard]] Counters::Snapshot counters() const;
-  [[nodiscard]] serve::Metrics::Snapshot metrics() const {
-    return metrics_.summary();
-  }
+  /// The registry's snapshot, with the live pool size and queue depth
+  /// filled in.
+  [[nodiscard]] serve::Metrics::Snapshot metrics() const;
+  /// Same as metrics(); kept for callers that read the admission and
+  /// worker-lifecycle counts under this name.
+  [[nodiscard]] serve::Metrics::Snapshot counters() const { return metrics(); }
   /// Live worker processes right now.
   [[nodiscard]] std::size_t worker_count() const;
   /// Admission queue depth right now.
   [[nodiscard]] std::size_t queue_depth() const;
-  /// The full /metrics exposition (serve::Metrics + ingress counters).
+  /// The /metrics exposition of one metrics() snapshot.
   [[nodiscard]] std::string metrics_text() const;
 
  private:
@@ -151,8 +152,11 @@ class Ingress {
                   ErrorCode code, const std::string& message);
 
   [[nodiscard]] std::unique_ptr<Worker> spawn_worker();
-  /// Requeues a dead worker's in-flight jobs and reaps its segment.
-  void fail_over(std::unique_ptr<Worker> dead, bool count_restart);
+  /// Requeues every in-flight job of a dead worker at the queue front
+  /// and unlinks its segment. Answers it pushed but dispatch_loop never
+  /// collected are recomputed: workers are deterministic, so the client
+  /// still gets the bit-identical answer, through dispatch_loop alone.
+  void fail_over(std::unique_ptr<Worker> dead);
   [[nodiscard]] std::string resolve_worker_exe() const;
 
   IngressConfig cfg_;
@@ -177,7 +181,6 @@ class Ingress {
   int rr_cursor_ = 0;  ///< round-robin position over workers_
   std::chrono::steady_clock::time_point last_busy_;
 
-  Counters counters_;
   serve::Metrics metrics_;
 
   std::thread accept_thread_;

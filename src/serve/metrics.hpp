@@ -1,21 +1,69 @@
-// Serving metrics: latency percentiles, throughput, queue depth, and
-// per-stage timing. One Metrics instance per Server, shared by all worker
-// threads behind a mutex — recording is O(1) per event; percentiles sort a
-// copy on read (summary()), which is assumed rare relative to traffic.
+// The serving telemetry registry: request latency percentiles, throughput,
+// queue and per-stage timing, recovery accounting, and the ingress tier's
+// admission and worker-lifecycle events — one registry, one Snapshot, one
+// exposition format. A Server, an SpmdEngine and an ingress::Ingress each
+// own one; every writer (worker, rank, connection, dispatch and monitor
+// threads) records behind its mutex. Memory is fixed: latencies land in a
+// log-bucket histogram, so recording and summary() allocate nothing and
+// cost the same after 10 requests or 10^9.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
-
-#include "tensor/check.hpp"
 
 namespace dchag::serve {
 
+/// Fixed log-bucket latency histogram over [kMinMs, kMaxMs] (1 µs to
+/// 10^6 ms), kPerDecade buckets per decade. A bucket spans the ratio
+/// r = 10^(1/kPerDecade) and reports the value within (r-1)/(r+1) < 0.5%
+/// of every sample it holds, so a quantile is within 0.5% of the exact
+/// sample at its rank. Samples outside the range clamp into the end
+/// buckets and still count.
+class LatencyHistogram {
+ public:
+  static constexpr double kMinMs = 1e-3;
+  static constexpr double kMaxMs = 1e6;
+  static constexpr std::size_t kPerDecade = 256;
+  static constexpr std::size_t kBuckets = 9 * kPerDecade;
+
+  void record(double ms) {
+    ++counts_[bucket(ms)];
+    ++total_;
+  }
+
+  /// Quantile by the nearest-rank rule on the sorted sample: the value at
+  /// 0-based rank round(q * (n - 1)). 0 when empty.
+  [[nodiscard]] double quantile(double q) const;
+
+ private:
+  [[nodiscard]] static std::size_t bucket(double ms);
+
+  std::array<std::uint64_t, kBuckets> counts_{};
+  std::uint64_t total_ = 0;
+};
+
 class Metrics {
  public:
+  /// Plain event counters, one each: request failures, degraded answers
+  /// and the ingress admission and worker-lifecycle events.
+  enum class Event : std::size_t {
+    kFailed,             ///< request completed with an exception
+    kDegraded,           ///< answer served from a survivor channel subset
+    kConnection,         ///< client connection accepted
+    kAccepted,           ///< request admitted to the queue
+    kRejectedSaturated,  ///< typed reject: queue full
+    kRejectedDraining,   ///< typed reject: shutting down
+    kRejectedBad,        ///< typed reject: malformed
+    kRedispatch,         ///< in-flight job moved off a dead worker
+    kScaleUp,
+    kScaleDown,
+    kCount,
+  };
+
   struct Snapshot {
     std::uint64_t requests = 0;  ///< responses delivered
     std::uint64_t batches = 0;   ///< forwards executed
@@ -28,10 +76,10 @@ class Metrics {
     double mean_forward_ms = 0.0;  ///< model forward per batch
     double requests_per_s = 0.0;   ///< over the recording window
     std::uint64_t max_queue_depth = 0;
-    std::uint64_t recoveries = 0;  ///< rank failures healed (respawn done)
+    /// Failures healed: a respawned rank (SpmdEngine) or a crashed
+    /// worker process (Ingress).
+    std::uint64_t recoveries = 0;
     double mean_recovery_ms = 0.0;  ///< failure detection -> heal ready
-    std::uint64_t hedged_dispatches = 0;  ///< jobs re-dispatched past the
-                                          ///< straggler hedge timeout
     std::uint64_t degraded_responses = 0;  ///< answers served from a
                                            ///< survivor channel subset
     std::uint64_t forward_allocations = 0;  ///< heap buffer allocations on
@@ -39,17 +87,30 @@ class Metrics {
     std::uint64_t last_forward_allocations = 0;  ///< most recent batch; the
                                                  ///< steady-state-zero gauge
 
-    [[nodiscard]] std::string to_string() const;
-    /// /metrics-style exposition lines ("dchag_serve_<name> <value>",
-    /// percentiles as quantile-labelled gauges) — what the ingress tier
-    /// serves for kMetricsQuery.
+    // Ingress tier: the dchag_ingress_* series, 0 outside Ingress::metrics().
+    std::uint64_t connections = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t rejected_saturated = 0;
+    std::uint64_t rejected_draining = 0;
+    std::uint64_t rejected_bad = 0;
+    std::uint64_t redispatches = 0;
+    std::uint64_t scale_ups = 0;
+    std::uint64_t scale_downs = 0;
+    std::uint64_t completed = 0;        ///< requests (Ingress::metrics())
+    std::uint64_t worker_restarts = 0;  ///< recoveries (Ingress::metrics())
+    std::uint64_t workers = 0;      ///< live pool size (Ingress::metrics())
+    std::uint64_t queue_depth = 0;  ///< admission queue (Ingress::metrics())
+
+    /// /metrics exposition lines ("dchag_serve_<name> <value>" and
+    /// "dchag_ingress_<name> <value>", percentiles as quantile-labelled
+    /// gauges) — what the ingress tier serves for kMetricsQuery.
     [[nodiscard]] std::string to_exposition() const;
   };
 
   void record_request(double total_ms, double queue_ms) {
     std::lock_guard<std::mutex> lock(mu_);
     ++requests_;
-    latencies_ms_.push_back(total_ms);
+    latency_.record(total_ms);
     queue_ms_sum_ += queue_ms;
   }
 
@@ -66,32 +127,17 @@ class Metrics {
     last_forward_allocations_ = allocations;
   }
 
-  void record_failure() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++failed_;
-  }
-
-  /// One completed elastic recovery: a failed rank was respawned and the
-  /// world is back at full channel width. `recovery_ms` spans failure
-  /// detection to heal-ready (degraded serving continues throughout).
+  /// One completed recovery: a failed rank or worker was replaced.
+  /// `recovery_ms` spans failure detection to heal-ready.
   void record_recovery(double recovery_ms) {
     std::lock_guard<std::mutex> lock(mu_);
     ++recoveries_;
     recovery_ms_sum_ += recovery_ms;
   }
 
-  /// run() re-dispatched a job whose first pass was stuck past the hedge
-  /// timeout (straggler or in-flight recovery).
-  void record_hedged_dispatch() {
+  void record(Event e, std::uint64_t n = 1) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++hedged_dispatches_;
-  }
-
-  /// An answer served from the surviving channel subset of a degraded
-  /// world (correct for those channels, narrower than requested inputs).
-  void record_degraded_response() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++degraded_responses_;
+    events_[static_cast<std::size_t>(e)] += n;
   }
 
   void observe_queue_depth(std::uint64_t depth) {
@@ -107,67 +153,25 @@ class Metrics {
     window_end_ms_ = now_ms;
   }
 
-  [[nodiscard]] Snapshot summary() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    Snapshot s;
-    s.requests = requests_;
-    s.batches = batches_;
-    s.failed = failed_;
-    s.max_queue_depth = max_queue_depth_;
-    s.recoveries = recoveries_;
-    s.hedged_dispatches = hedged_dispatches_;
-    s.degraded_responses = degraded_responses_;
-    s.forward_allocations = forward_allocations_;
-    s.last_forward_allocations = last_forward_allocations_;
-    if (recoveries_ > 0)
-      s.mean_recovery_ms = recovery_ms_sum_ / static_cast<double>(recoveries_);
-    if (batches_ > 0) {
-      s.mean_batch_size = static_cast<double>(batched_requests_) /
-                          static_cast<double>(batches_);
-      s.mean_forward_ms = forward_ms_sum_ / static_cast<double>(batches_);
-    }
-    if (requests_ > 0) {
-      s.mean_queue_ms = queue_ms_sum_ / static_cast<double>(requests_);
-      std::vector<double> sorted = latencies_ms_;
-      std::sort(sorted.begin(), sorted.end());
-      s.p50_ms = percentile(sorted, 0.50);
-      s.p95_ms = percentile(sorted, 0.95);
-      s.p99_ms = percentile(sorted, 0.99);
-    }
-    const double window_ms = window_end_ms_ - window_start_ms_;
-    if (requests_ > 0 && window_ms > 0.0) {
-      s.requests_per_s = static_cast<double>(requests_) / (window_ms / 1e3);
-    }
-    return s;
-  }
+  [[nodiscard]] Snapshot summary() const;
 
  private:
-  /// Nearest-rank percentile on a sorted sample.
-  static double percentile(const std::vector<double>& sorted, double q) {
-    if (sorted.empty()) return 0.0;
-    const auto n = static_cast<double>(sorted.size());
-    auto idx = static_cast<std::size_t>(q * (n - 1.0) + 0.5);
-    idx = std::min(idx, sorted.size() - 1);
-    return sorted[idx];
-  }
-
   mutable std::mutex mu_;
   std::uint64_t requests_ = 0;
   std::uint64_t batches_ = 0;
-  std::uint64_t failed_ = 0;
   std::uint64_t batched_requests_ = 0;
   std::uint64_t max_queue_depth_ = 0;
   std::uint64_t recoveries_ = 0;
-  std::uint64_t hedged_dispatches_ = 0;
-  std::uint64_t degraded_responses_ = 0;
   std::uint64_t forward_allocations_ = 0;
   std::uint64_t last_forward_allocations_ = 0;
+  std::array<std::uint64_t, static_cast<std::size_t>(Event::kCount)>
+      events_{};
   double recovery_ms_sum_ = 0.0;
   double queue_ms_sum_ = 0.0;
   double forward_ms_sum_ = 0.0;
   double window_start_ms_ = -1.0;
   double window_end_ms_ = -1.0;
-  std::vector<double> latencies_ms_;
+  LatencyHistogram latency_;
 };
 
 }  // namespace dchag::serve

@@ -129,10 +129,8 @@ void Server::execute(Batch batch) {
     // A worker never leaks: the batch's requests fail individually and the
     // pool keeps serving subsequent batches.
     const std::exception_ptr err = std::current_exception();
-    for (PendingRequest& p : batch.items) {
-      metrics_.record_failure();
-      p.promise.set_exception(err);
-    }
+    metrics_.record(Metrics::Event::kFailed, batch.items.size());
+    for (PendingRequest& p : batch.items) p.promise.set_exception(err);
   }
 }
 

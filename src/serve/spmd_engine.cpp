@@ -31,9 +31,7 @@ SpmdEngine::SpmdEngine(int ranks, RankModelFactory factory,
     : ranks_(ranks),
       ctx_(ctx.effective()),
       factory_(std::move(factory)),
-      metrics_(std::move(cfg.metrics)),
-      checkpoint_dir_(std::move(cfg.checkpoint_dir)),
-      hedge_timeout_(cfg.hedge_timeout) {
+      checkpoint_dir_(std::move(cfg.checkpoint_dir)) {
   DCHAG_CHECK(ranks_ >= 1, "SpmdEngine needs >= 1 rank");
   DCHAG_CHECK(factory_ != nullptr, "SpmdEngine needs a model factory");
   serving_members_ = full_membership(ranks_);
@@ -272,8 +270,7 @@ void SpmdEngine::execute_job(comm::Communicator& comm,
       if (!err) result_ = pred.value();
       done_seq_ = std::max(done_seq_, seq);
     }
-    if (degraded_answer && !err && metrics_)
-      metrics_->record_degraded_response();
+    if (degraded_answer && !err) metrics_.record(Metrics::Event::kDegraded);
     cv_done_.notify_all();
   }
 }
@@ -369,12 +366,10 @@ void SpmdEngine::respawn_rank(comm::Communicator healed,
       // from here on (run() copies the stamp under this same mutex).
       heal_ready_epoch_ = latest_recovery_epoch_;
       serving_members_ = full_membership(ranks_);
-      if (metrics_) {
-        metrics_->record_recovery(
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - recovery_start_)
-                .count());
-      }
+      metrics_.record_recovery(
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - recovery_start_)
+              .count());
     }
   }
   cv_done_.notify_all();
@@ -392,23 +387,8 @@ Tensor SpmdEngine::run(const Tensor& images,
   job_ = Job{&images, &channels, lead_time, heal_ready_epoch_};
   std::uint64_t seq = ++job_seq_;
   cv_job_.notify_all();
-  const auto answered = [&] {
-    return done_seq_ >= seq || failure_ != nullptr;
-  };
-  if (hedge_timeout_.count() <= 0) {
-    cv_done_.wait(lock, answered);
-  } else if (!cv_done_.wait_for(lock, hedge_timeout_, answered)) {
-    // Hedged dispatch: the pass is stuck behind a straggler or an
-    // in-flight recovery. Every rank serves passes strictly in order,
-    // so a re-issued pass could never overtake the stuck one here —
-    // worse, a second seq can reach late-picking ranks as their FIRST
-    // pass, splitting the world across pass counts and wedging the
-    // collective schedule. The hedge therefore records the tail event
-    // and re-signals the world, then rides out the original pass.
-    if (metrics_) metrics_->record_hedged_dispatch();
-    cv_job_.notify_all();
-    cv_done_.wait(lock, answered);
-  }
+  cv_done_.wait(lock,
+                [&] { return done_seq_ >= seq || failure_ != nullptr; });
   if (failure_) std::rethrow_exception(failure_);
   if (job_error_) std::rethrow_exception(job_error_);  // world still serves
   return result_;

@@ -48,25 +48,12 @@ namespace dchag::serve {
 /// threads scope into that context, so the factory's front-ends inherit
 /// it unless the factory pins its own.
 struct SpmdEngineConfig {
-  /// Optional sink for engine-level counters: recoveries (+ mean recovery
-  /// time), hedged dispatches, degraded responses. Typically shared with
-  /// the Server's request metrics.
-  std::shared_ptr<Metrics> metrics;
-
   /// When non-empty, every rank saves its parameter shard here at cold
   /// start (`rank_<world_rank>.ckpt`) and a respawned rank reloads its
   /// shard after the factory rebuilds the architecture — the recovery
   /// path exercised by train/checkpoint round-tripping. When empty,
   /// respawn relies on the factory's master-seed determinism alone.
   std::string checkpoint_dir;
-
-  /// When positive, a job that has produced no answer within this budget
-  /// is hedged: the dispatch is counted in `metrics` and the world is
-  /// re-signaled, then the caller rides out the original pass (in-process
-  /// ranks serve passes strictly in order, so a re-issued pass could
-  /// never overtake the stuck one). Surfaces straggler-delayed and
-  /// recovery-stalled jobs in the counters. Zero disables hedging.
-  std::chrono::milliseconds hedge_timeout{0};
 };
 
 class SpmdEngine {
@@ -122,6 +109,10 @@ class SpmdEngine {
 
   [[nodiscard]] int ranks() const { return ranks_; }
 
+  /// Engine-level counters: recoveries (+ mean recovery time) and
+  /// degraded responses.
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
+
  private:
   struct Job {
     const Tensor* images = nullptr;
@@ -169,9 +160,8 @@ class SpmdEngine {
   int ranks_;
   runtime::Context ctx_;
   RankModelFactory factory_;  ///< kept: respawned ranks rebuild through it
-  std::shared_ptr<Metrics> metrics_;
+  Metrics metrics_;
   std::string checkpoint_dir_;
-  std::chrono::milliseconds hedge_timeout_{0};
   std::thread world_thread_;
 
   std::mutex run_mu_;  // serializes run() callers

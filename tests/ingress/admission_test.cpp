@@ -2,7 +2,8 @@
 // kSaturated rejects (no hangs, no silent drops), every ACCEPTED request
 // is answered bit-exactly, a malformed frame is a typed kBadRequest, and
 // a draining ingress type-rejects new work while still finishing
-// everything it admitted.
+// everything it admitted. A /metrics scrape keeps every series name
+// scrapers read, each exactly once.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -11,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -70,10 +74,10 @@ TEST(Admission, SaturationIsATypedRejectNeverAHangOrDrop) {
   EXPECT_GE(ok.load(), 1);
 
   ingress.drain();
-  const Counters::Snapshot c = ingress.counters();
+  const serve::Metrics::Snapshot c = ingress.metrics();
   EXPECT_EQ(c.accepted, static_cast<std::uint64_t>(ok.load()))
       << "accepted and answered must match: no drops of admitted work";
-  EXPECT_EQ(c.completed, c.accepted);
+  EXPECT_EQ(c.requests, c.accepted);
   EXPECT_EQ(c.rejected_saturated,
             static_cast<std::uint64_t>(saturated.load()));
 }
@@ -111,7 +115,7 @@ TEST(Admission, MalformedFrameIsATypedBadRequest) {
   ::close(fd);
 
   ingress.drain();
-  const Counters::Snapshot c = ingress.counters();
+  const serve::Metrics::Snapshot c = ingress.metrics();
   EXPECT_EQ(c.rejected_bad, 1u);
   EXPECT_EQ(c.accepted, 0u);
 }
@@ -194,13 +198,66 @@ TEST(Admission, DrainingRejectsNewWorkAndFinishesAdmittedWork) {
   drainer.join();
   for (std::thread& t : threads) t.join();
 
-  const Counters::Snapshot c = ingress.counters();
-  EXPECT_EQ(c.accepted, c.completed) << "drain must answer admitted work";
+  const serve::Metrics::Snapshot c = ingress.metrics();
+  EXPECT_EQ(c.accepted, c.requests) << "drain must answer admitted work";
   EXPECT_EQ(c.accepted, static_cast<std::uint64_t>(ok.load() + probe_ok));
   EXPECT_GE(c.rejected_draining, 1u);
   EXPECT_EQ(c.queue_depth, 0u);
   EXPECT_EQ(ok.load() + shutdown_rejected.load() + hung_up.load(),
             kClients);
+}
+
+TEST(Admission, MetricsScrapeServesEveryExpositionNameOnce) {
+  TrainedModel trained;
+  IngressConfig cfg = testutil::base_config(trained);
+  cfg.min_workers = 1;
+  cfg.max_workers = 1;
+  Ingress ingress(cfg);
+
+  Client client(ingress.port());
+  const Tensor images = testutil::sample_image(77);
+  testutil::expect_bit_exact(client.infer(images), trained.reference(images));
+  const std::string text = client.metrics_text();
+
+  std::map<std::string, int> seen;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);)
+    ++seen[line.substr(0, line.find(' '))];
+  const std::vector<std::string> expected = {
+      "dchag_serve_requests_total",
+      "dchag_serve_batches_total",
+      "dchag_serve_failed_total",
+      "dchag_serve_latency_ms{quantile=\"0.5\"}",
+      "dchag_serve_latency_ms{quantile=\"0.95\"}",
+      "dchag_serve_latency_ms{quantile=\"0.99\"}",
+      "dchag_serve_mean_queue_ms",
+      "dchag_serve_mean_forward_ms",
+      "dchag_serve_requests_per_second",
+      "dchag_serve_max_queue_depth",
+      "dchag_serve_recoveries_total",
+      "dchag_serve_mean_recovery_ms",
+      "dchag_serve_degraded_responses_total",
+      "dchag_serve_forward_allocations_total",
+      "dchag_serve_last_forward_allocations",
+      "dchag_ingress_connections_total",
+      "dchag_ingress_accepted_total",
+      "dchag_ingress_rejected_saturated_total",
+      "dchag_ingress_rejected_draining_total",
+      "dchag_ingress_rejected_bad_total",
+      "dchag_ingress_completed_total",
+      "dchag_ingress_redispatches_total",
+      "dchag_ingress_worker_restarts_total",
+      "dchag_ingress_scale_ups_total",
+      "dchag_ingress_scale_downs_total",
+      "dchag_ingress_workers",
+      "dchag_ingress_queue_depth",
+  };
+  for (const std::string& name : expected)
+    EXPECT_EQ(seen[name], 1) << name << " in:\n" << text;
+  EXPECT_EQ(seen.size(), expected.size()) << "unexpected series in:\n" << text;
+  EXPECT_NE(text.find("dchag_serve_requests_total 1\n"), std::string::npos);
+  EXPECT_NE(text.find("dchag_ingress_completed_total 1\n"), std::string::npos);
+  EXPECT_NE(text.find("dchag_ingress_workers 1\n"), std::string::npos);
 }
 
 }  // namespace

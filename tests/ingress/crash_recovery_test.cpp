@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -69,20 +70,25 @@ TEST(CrashRecovery, MidRequestCrashesAreRedispatchedBitExactly) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(ingress.worker_count(), 2u);
 
-  const Counters::Snapshot c = ingress.counters();
-  EXPECT_EQ(c.worker_restarts, 2u);
-  EXPECT_GE(c.redispatches, 2u)
-      << "each planned crash loses its in-flight request to redispatch";
-  EXPECT_EQ(c.accepted, c.completed);
-  EXPECT_EQ(c.accepted,
-            static_cast<std::uint64_t>(kThreads * kPerThread));
-
+  // One registry, one count per event: each crash is one recovery, and
+  // every answer (redispatched or not) is one request and one batch.
   const serve::Metrics::Snapshot m = ingress.metrics();
-  EXPECT_EQ(m.requests, static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(m.recoveries, 2u);
+  EXPECT_EQ(m.worker_restarts, m.recoveries);
+  EXPECT_GE(m.redispatches, 2u)
+      << "each planned crash loses its in-flight request to redispatch";
+  const auto answered = static_cast<std::uint64_t>(kThreads * kPerThread);
+  EXPECT_EQ(m.accepted, answered);
+  EXPECT_EQ(m.requests, answered) << "completed == accepted";
+  EXPECT_EQ(m.completed, m.requests);
+  EXPECT_EQ(m.batches, m.requests)
+      << "every completion records its request and its batch";
+  EXPECT_NE(m.to_exposition().find("dchag_ingress_completed_total " +
+                                   std::to_string(answered) + "\n"),
+            std::string::npos);
 
   ingress.drain();
-  EXPECT_EQ(ingress.counters().queue_depth, 0u);
+  EXPECT_EQ(ingress.metrics().queue_depth, 0u);
 }
 
 TEST(CrashRecovery, CrashDuringDrainStillAnswersEverything) {
@@ -124,8 +130,8 @@ TEST(CrashRecovery, CrashDuringDrainStillAnswersEverything) {
   ingress.drain();
   for (std::thread& t : threads) t.join();
 
-  const Counters::Snapshot c = ingress.counters();
-  EXPECT_EQ(c.accepted, c.completed)
+  const serve::Metrics::Snapshot c = ingress.metrics();
+  EXPECT_EQ(c.accepted, c.requests)
       << "a crash during drain must not lose admitted work";
   EXPECT_EQ(c.accepted, static_cast<std::uint64_t>(ok.load()));
   EXPECT_EQ(ok.load() + rejected.load(), kClients);

@@ -67,7 +67,7 @@ TEST(Scale, PressureGrowsThePoolAndIdlenessShrinksIt) {
   watcher.join();
   EXPECT_EQ(failures.load(), 0);
 
-  const Counters::Snapshot during = ingress.counters();
+  const serve::Metrics::Snapshot during = ingress.metrics();
   EXPECT_GE(during.scale_ups, 1u)
       << "64 requests against one worker must trip scale_up_depth=4";
   EXPECT_GE(std::max(peak_workers.load(), ingress.worker_count()), 2u);
@@ -79,7 +79,7 @@ TEST(Scale, PressureGrowsThePoolAndIdlenessShrinksIt) {
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(ingress.worker_count(), 1u);
-  EXPECT_GE(ingress.counters().scale_downs, 1u);
+  EXPECT_GE(ingress.metrics().scale_downs, 1u);
 
   // Scaling never crosses the floor: a request after the shrink still
   // gets a bit-exact answer from the remaining worker.
@@ -89,8 +89,8 @@ TEST(Scale, PressureGrowsThePoolAndIdlenessShrinksIt) {
                              trained.reference(images));
 
   ingress.drain();
-  const Counters::Snapshot c = ingress.counters();
-  EXPECT_EQ(c.accepted, c.completed);
+  const serve::Metrics::Snapshot c = ingress.metrics();
+  EXPECT_EQ(c.accepted, c.requests);
   EXPECT_EQ(c.worker_restarts, 0u)
       << "deliberate retirement must not be counted as a crash";
 }

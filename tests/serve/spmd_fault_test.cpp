@@ -99,10 +99,10 @@ TEST(SpmdFault, StragglerRankStillServesExactResultsWithTailMetrics) {
   // Engines destruct here: a deadlocked shutdown fails via ctest timeout.
 }
 
-TEST(SpmdFault, HedgedDispatchFiresOnStragglersWithoutFakingARecovery) {
+TEST(SpmdFault, StragglersAreSlownessNotFailure) {
   ModelConfig cfg = ModelConfig::tiny();
   // A much harsher straggler than the tail-latency test: every job takes
-  // >> 1 ms, so a 1 ms hedge budget must trip at least once.
+  // >> 1 ms.
   comm::FaultSpec spec;
   spec.seed = 404;
   spec.per_rank_delay_us = {0, 0, 3000, 0};
@@ -110,23 +110,19 @@ TEST(SpmdFault, HedgedDispatchFiresOnStragglersWithoutFakingARecovery) {
       runtime::ContextBuilder()
           .fault_plan(comm::make_fault_plan(spec, kRanks))
           .build();
-  SpmdEngineConfig ecfg;
-  ecfg.metrics = std::make_shared<Metrics>();
-  ecfg.hedge_timeout = std::chrono::milliseconds(1);
-  SpmdEngine slow(kRanks, make_factory(cfg, {}), ecfg, ctx);
+  SpmdEngine slow(kRanks, make_factory(cfg, {}), {}, ctx);
   SpmdEngine quiet(kRanks, make_factory(cfg, {}));
 
   for (int i = 0; i < 4; ++i) {
     Tensor batch = sample_batch(700 + static_cast<std::uint64_t>(i))
                        .reshape(Shape{1, kChannels, 16, 16});
-    // Hedging re-runs the same deterministic job: still bit-exact.
+    // A straggler delays the answer, never changes it.
     ASSERT_EQ(ops::max_abs_diff(slow.run(batch, {}, 1.0f),
                                 quiet.run(batch, {}, 1.0f)),
               0.0f)
         << "request " << i;
   }
-  const Metrics::Snapshot m = ecfg.metrics->summary();
-  EXPECT_GE(m.hedged_dispatches, 1u);
+  const Metrics::Snapshot m = slow.metrics().summary();
   // Stragglers are slowness, not failure: no recovery machinery fired.
   EXPECT_EQ(m.recoveries, 0u);
   EXPECT_EQ(m.mean_recovery_ms, 0.0);
@@ -145,7 +141,6 @@ TEST(SpmdFault, RankDeathServesDegradedThenHealsBitExact) {
   const runtime::Context ctx =
       runtime::ContextBuilder().fault_plan(plan).build();
   SpmdEngineConfig ecfg;
-  ecfg.metrics = std::make_shared<Metrics>();
   ecfg.checkpoint_dir = ::testing::TempDir();  // exercise shard reload
   SpmdEngine engine(kRanks, make_factory(cfg, {}), ecfg, ctx);
   SpmdEngine oracle(kRanks, make_factory(cfg, {}));
@@ -185,7 +180,7 @@ TEST(SpmdFault, RankDeathServesDegradedThenHealsBitExact) {
   // healed world answers bit-exactly like a never-failed one.
   ASSERT_EQ(ops::max_abs_diff(engine.run(batch, {}, 1.0f), full), 0.0f)
       << plan->describe();
-  const Metrics::Snapshot m = ecfg.metrics->summary();
+  const Metrics::Snapshot m = engine.metrics().summary();
   EXPECT_EQ(m.recoveries, 1u);
   EXPECT_GT(m.mean_recovery_ms, 0.0);
   EXPECT_GE(m.degraded_responses, 1u);
@@ -208,7 +203,6 @@ TEST(SpmdFault, DegradedSubsetRequestsServeTheSurvivingIntersection) {
           .fault_plan(comm::make_fault_plan(spec, kRanks))
           .build();
   SpmdEngineConfig ecfg;
-  ecfg.metrics = std::make_shared<Metrics>();
   ecfg.checkpoint_dir = ::testing::TempDir();
   SpmdEngine engine(kRanks, make_factory(cfg, {}), ecfg, ctx);
   SpmdEngine oracle(kRanks, make_factory(cfg, {}));
@@ -241,7 +235,7 @@ TEST(SpmdFault, DegradedSubsetRequestsServeTheSurvivingIntersection) {
     if (ops::max_abs_diff(got, degraded) == 0.0f) break;
     ASSERT_EQ(ops::max_abs_diff(got, full), 0.0f) << "job " << i;
   }
-  ASSERT_GE(ecfg.metrics->summary().degraded_responses, 1u);
+  ASSERT_GE(engine.metrics().summary().degraded_responses, 1u);
   EXPECT_THROW(engine.wait_recovered(), Error);  // the sabotaged heal
 
   // A subset request straddling dead channels {2,3}: the engine serves
