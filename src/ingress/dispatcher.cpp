@@ -386,6 +386,13 @@ void Ingress::dispatch_loop() {
           payload.clear();
           error.clear();
         }
+        // Checked after the responses: one popped above implies ready.
+        if (w->replaces_crash_at &&
+            w->ring->state() != WorkerState::kStarting) {
+          metrics_.record_recovery(ms_between(
+              *w->replaces_crash_at, std::chrono::steady_clock::now()));
+          w->replaces_crash_at.reset();
+        }
       }
 
       // 2. Round-robin the admission queue onto workers with ring space.
@@ -505,13 +512,13 @@ void Ingress::monitor_loop() {
         if (dead) {
           std::unique_ptr<Worker> gone = std::move(workers_[i]);
           workers_.erase(workers_.begin() + static_cast<std::ptrdiff_t>(i));
-          const bool crashed = !gone->retiring;
-          const auto t0 = std::chrono::steady_clock::now();
+          // The recovery clock runs from this detection until a
+          // replacement's ring reads ready (dispatch_loop books it); a
+          // replacement that dies first hands its clock to the next one.
+          if (!gone->retiring)
+            unreplaced_crashes_.push_back(
+                gone->replaces_crash_at.value_or(now));
           fail_over(std::move(gone));
-          if (crashed) {
-            metrics_.record_recovery(
-                ms_between(t0, std::chrono::steady_clock::now()));
-          }
         } else {
           ++i;
         }
@@ -552,6 +559,10 @@ void Ingress::monitor_loop() {
       const bool need_workers = !draining_ || busy;
       while (need_workers && live < static_cast<std::size_t>(target)) {
         workers_.push_back(spawn_worker());
+        if (!unreplaced_crashes_.empty()) {
+          workers_.back()->replaces_crash_at = unreplaced_crashes_.front();
+          unreplaced_crashes_.pop_front();
+        }
         ++live;
       }
     }

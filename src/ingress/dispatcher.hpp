@@ -140,6 +140,10 @@ class Ingress {
     std::uint64_t last_heartbeat = 0;
     std::chrono::steady_clock::time_point last_beat_seen;
     bool retiring = false;  ///< deliberate scale-down, not a crash
+    /// Set on a replacement for a crashed worker: when the crash was
+    /// detected. The recovery is booked when its ring first reads past
+    /// kStarting.
+    std::optional<std::chrono::steady_clock::time_point> replaces_crash_at;
   };
 
   void accept_loop();
@@ -180,6 +184,8 @@ class Ingress {
   int next_spawn_seq_ = 0;
   int rr_cursor_ = 0;  ///< round-robin position over workers_
   std::chrono::steady_clock::time_point last_busy_;
+  /// Crash detection times not yet handed to a replacement worker.
+  std::deque<std::chrono::steady_clock::time_point> unreplaced_crashes_;
 
   serve::Metrics metrics_;
 

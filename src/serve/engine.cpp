@@ -18,7 +18,8 @@ Tensor Engine::run(const Tensor& images, const std::vector<Index>& channels,
               "serving requires an eval-mode model");
   autograd::NoGradGuard no_grad;
   // With a plan, every tensor this forward builds draws from the shared
-  // pool; only the first request per shape lane touches the heap.
+  // pool; only warm-up, until the largest shape has been served, touches
+  // the heap.
   std::optional<tensor::plan::ArenaScope> arena_scope;
   if (opts_.plan) arena_scope.emplace(arena_);
   runtime::Scope ctx_scope(runtime::Context::effective_or_current(ctx_));

@@ -87,6 +87,7 @@ std::string Metrics::Snapshot::to_exposition() const {
      << "\n"
      << "dchag_serve_last_forward_allocations " << last_forward_allocations
      << "\n"
+     << "dchag_serve_arena_held_bytes " << arena_held_bytes << "\n"
      << "dchag_ingress_connections_total " << connections << "\n"
      << "dchag_ingress_accepted_total " << accepted << "\n"
      << "dchag_ingress_rejected_saturated_total " << rejected_saturated

@@ -86,6 +86,9 @@ class Metrics {
                                             ///< the forward path, summed
     std::uint64_t last_forward_allocations = 0;  ///< most recent batch; the
                                                  ///< steady-state-zero gauge
+    /// Capacity bytes the rank arenas hold (SpmdEngine::metrics(); 0
+    /// elsewhere): bounded by the live peak of the largest shape served.
+    std::uint64_t arena_held_bytes = 0;
 
     // Ingress tier: the dchag_ingress_* series, 0 outside Ingress::metrics().
     std::uint64_t connections = 0;

@@ -31,6 +31,8 @@ SpmdEngine::SpmdEngine(int ranks, RankModelFactory factory,
     : ranks_(ranks),
       ctx_(ctx.effective()),
       factory_(std::move(factory)),
+      arenas_(std::make_unique<tensor::plan::Arena[]>(
+          static_cast<std::size_t>(std::max(ranks, 0)))),
       checkpoint_dir_(std::move(cfg.checkpoint_dir)) {
   DCHAG_CHECK(ranks_ >= 1, "SpmdEngine needs >= 1 rank");
   DCHAG_CHECK(factory_ != nullptr, "SpmdEngine needs a model factory");
@@ -86,8 +88,7 @@ SpmdEngine::SpmdEngine(int ranks, RankModelFactory factory,
         }
         // Rank-private arena: this thread runs every forward it serves,
         // so steady-state requests reuse the warm-up buffers.
-        tensor::plan::Arena arena;
-        tensor::plan::ArenaScope arena_scope(arena);
+        tensor::plan::ArenaScope arena_scope(arenas_[comm.rank()]);
         serve_loop(&comm, model.get(), /*min_stamp=*/0);
       });
     } catch (...) {
@@ -373,8 +374,8 @@ void SpmdEngine::respawn_rank(comm::Communicator healed,
     }
   }
   cv_done_.notify_all();
-  tensor::plan::Arena arena;
-  tensor::plan::ArenaScope arena_scope(arena);
+  // The respawn takes over the dead rank's arena: respawns add no pool.
+  tensor::plan::ArenaScope arena_scope(arenas_[healed.rank()]);
   serve_loop(&healed, model.get(), /*min_stamp=*/epoch);
 }
 
@@ -401,6 +402,24 @@ void SpmdEngine::wait_recovered() {
   });
   if (failure_) std::rethrow_exception(failure_);
   if (heal_error_) std::rethrow_exception(heal_error_);
+}
+
+Metrics::Snapshot SpmdEngine::metrics() const {
+  Metrics::Snapshot s = metrics_.summary();
+  s.arena_held_bytes = arena_stats().held_bytes;
+  return s;
+}
+
+tensor::plan::Arena::Stats SpmdEngine::arena_stats() const {
+  tensor::plan::Arena::Stats sum;
+  for (int r = 0; r < ranks_; ++r) sum += arena_stats(r);
+  return sum;
+}
+
+tensor::plan::Arena::Stats SpmdEngine::arena_stats(int world_rank) const {
+  DCHAG_CHECK(world_rank >= 0 && world_rank < ranks_,
+              "arena_stats: world rank " << world_rank << " out of range");
+  return arenas_[world_rank].stats();
 }
 
 InferenceFn SpmdEngine::inference_fn() {

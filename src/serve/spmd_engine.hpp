@@ -109,9 +109,16 @@ class SpmdEngine {
 
   [[nodiscard]] int ranks() const { return ranks_; }
 
-  /// Engine-level counters: recoveries (+ mean recovery time) and
-  /// degraded responses.
-  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
+  /// Engine-level counters — recoveries (+ mean recovery time) and
+  /// degraded responses — with the rank arenas' held bytes filled in.
+  [[nodiscard]] Metrics::Snapshot metrics() const;
+
+  /// Pool counters of the rank arenas, summed over world ranks (a
+  /// respawned rank reuses its slot's arena, so respawns add no arena).
+  /// peak_live_bytes is the sum of the per-rank peaks.
+  [[nodiscard]] tensor::plan::Arena::Stats arena_stats() const;
+  /// One world rank's arena counters.
+  [[nodiscard]] tensor::plan::Arena::Stats arena_stats(int world_rank) const;
 
  private:
   struct Job {
@@ -161,6 +168,9 @@ class SpmdEngine {
   runtime::Context ctx_;
   RankModelFactory factory_;  ///< kept: respawned ranks rebuild through it
   Metrics metrics_;
+  /// One arena per world rank, used by whichever thread serves that rank
+  /// (the original or its respawn).
+  std::unique_ptr<tensor::plan::Arena[]> arenas_;
   std::string checkpoint_dir_;
   std::thread world_thread_;
 

@@ -1,28 +1,35 @@
-// Static memory plan for the tape-free serving forward: a size-keyed
+// Static memory plan for the tape-free serving forward: a capacity-class
 // arena of aligned, reusable tensor buffers.
 //
-// A forward pass builds the same graph every request, so the multiset of
-// buffer sizes it allocates is identical from one request to the next.
 // Installing an ArenaScope on the serving thread reroutes every Tensor
-// construction on that thread through the arena: the first request per
-// (batch, channel-subset) lane populates the pool (warm-up), and every
-// later request draws exclusively from it — zero heap allocations in
-// steady state, which tests and the serving bench gate on via
+// construction on that thread through the arena. A request of n floats is
+// rounded up to its capacity class (the next power of two) and served
+// best-fit: the smallest parked buffer whose capacity covers the class.
+// On a miss every parked buffer is smaller than the request. If the
+// request is above every class served so far — a new largest shape — the
+// arena releases them all before allocating, so its footprint follows the
+// largest shape served, not the number of (batch, channel-subset) shapes
+// seen. Other misses keep them, since the same forward reuses them a
+// moment later, unless the arena would then hold more than twice its live
+// peak; then it releases the smallest until it fits. There is no knob.
+//
+// Warm-up / steady state: a forward builds the same graph every request,
+// and a smaller shape fits in the buffers of a larger one. Once the
+// largest shape has been served the pool settles within a few forwards,
+// and from then on every request draws from it — zero heap allocations,
+// which tests and the serving bench gate on via
 // thread_buffer_allocations().
 //
 // Lifetime: buffers carry a deleter owning a reference to the arena's
 // shared state, so result tensors that escape the scope (responses, the
-// SPMD published result) stay valid past the arena — and still return
-// their buffer to the pool when the last Tensor referencing it dies.
-// The pool itself is mutex-protected: one Engine-owned arena is shared
-// by every server worker thread.
+// SPMD published result) stay valid past the arena. While the arena
+// lives they return to the pool when the last Tensor referencing them
+// dies; once it is gone they are freed. The pool is mutex-protected: one
+// Engine-owned arena is shared by every server worker thread.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
 
 #include "tensor/align.hpp"
 #include "tensor/shape.hpp"
@@ -41,17 +48,28 @@ class Arena {
     std::uint64_t fresh = 0;   ///< pool misses (heap allocations)
     std::uint64_t reused = 0;  ///< pool hits
     std::uint64_t pooled = 0;  ///< buffers currently parked in the pool
+    /// Capacity bytes of every buffer the arena owns: parked plus
+    /// handed out. The arena's footprint.
+    std::uint64_t held_bytes = 0;
+    /// Peak over time of the requested (numel) bytes handed out at once:
+    /// what the workload needed, before class rounding.
+    std::uint64_t peak_live_bytes = 0;
+
+    Stats& operator+=(const Stats& o);
   };
 
   Arena();
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
-  ~Arena() = default;  // outstanding buffers keep the shared state alive
+  /// Frees the parked buffers; buffers still handed out are freed when
+  /// their last reference dies.
+  ~Arena();
 
-  /// A zero-filled buffer of exactly `n` floats, pooled if available.
+  /// A buffer of at least `n` floats whose first `n` are zero, pooled if
+  /// available. Tensors read only their first numel() elements.
   [[nodiscard]] std::shared_ptr<AlignedVec> acquire(Index n);
   /// Same, but contents are unspecified (reused buffers keep stale data);
-  /// callers must overwrite every element.
+  /// callers must overwrite the first `n` elements.
   [[nodiscard]] std::shared_ptr<AlignedVec> acquire_raw(Index n);
 
   [[nodiscard]] Stats stats() const;

@@ -51,7 +51,7 @@ class Tensor {
   Tensor(Shape shape, float fill)
       : buf_(plan::detail::acquire_buffer_raw(shape.numel())),
         shape_(std::move(shape)) {
-    std::fill(buf_->begin(), buf_->end(), fill);
+    std::fill_n(buf_->begin(), shape_.numel(), fill);
     record_allocation();
   }
 

@@ -239,6 +239,7 @@ TEST(Admission, MetricsScrapeServesEveryExpositionNameOnce) {
       "dchag_serve_degraded_responses_total",
       "dchag_serve_forward_allocations_total",
       "dchag_serve_last_forward_allocations",
+      "dchag_serve_arena_held_bytes",
       "dchag_ingress_connections_total",
       "dchag_ingress_accepted_total",
       "dchag_ingress_rejected_saturated_total",

@@ -62,10 +62,11 @@ TEST(CrashRecovery, MidRequestCrashesAreRedispatchedBitExactly) {
   EXPECT_EQ(failures.load(), 0)
       << "every request must be answered despite both planned crashes";
 
-  // The pool heals back to its target size.
+  // The pool heals back to its target size, and both replacements come
+  // up ready (which is when a recovery is booked).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (ingress.worker_count() < 2 &&
+  while ((ingress.worker_count() < 2 || ingress.metrics().recoveries < 2) &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(ingress.worker_count(), 2u);
@@ -75,6 +76,14 @@ TEST(CrashRecovery, MidRequestCrashesAreRedispatchedBitExactly) {
   const serve::Metrics::Snapshot m = ingress.metrics();
   EXPECT_EQ(m.recoveries, 2u);
   EXPECT_EQ(m.worker_restarts, m.recoveries);
+  // A recovery spans crash detection to the replacement's ring reading
+  // ready: a process spawn and a model load. The requeue of the dead
+  // worker's jobs alone (fail_over) takes ~0.1 ms; a replacement is never
+  // ready within 1 ms. And no recovery outlasts the slowest request it
+  // held up.
+  EXPECT_GT(m.mean_recovery_ms, 1.0)
+      << "the recovery clock stopped before the replacement was ready";
+  EXPECT_LE(m.mean_recovery_ms, m.p99_ms);
   EXPECT_GE(m.redispatches, 2u)
       << "each planned crash loses its in-flight request to redispatch";
   const auto answered = static_cast<std::uint64_t>(kThreads * kPerThread);

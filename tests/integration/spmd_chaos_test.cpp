@@ -76,7 +76,7 @@ TEST(SpmdChaos, SixtyFourSeededSchedulesServeDegradedThenHealBitExact) {
       for (int i = 0; i < 3; ++i)
         ASSERT_EQ(ops::max_abs_diff(engine.run(img, {}, 1.0f), full), 0.0f)
             << "job " << i << " | " << repro;
-      const Metrics::Snapshot m = engine.metrics().summary();
+      const Metrics::Snapshot m = engine.metrics();
       EXPECT_EQ(m.recoveries, 0u) << repro;
       EXPECT_EQ(m.degraded_responses, 0u) << repro;
       continue;
@@ -117,7 +117,7 @@ TEST(SpmdChaos, SixtyFourSeededSchedulesServeDegradedThenHealBitExact) {
     engine.wait_recovered();
     ASSERT_EQ(ops::max_abs_diff(engine.run(img, {}, 1.0f), full), 0.0f)
         << "post-heal parity | " << repro;
-    const Metrics::Snapshot m = engine.metrics().summary();
+    const Metrics::Snapshot m = engine.metrics();
     EXPECT_GE(m.recoveries, 1u) << repro;
     EXPECT_GT(m.mean_recovery_ms, 0.0) << repro;
     EXPECT_GE(m.degraded_responses, 1u) << repro;

@@ -5,12 +5,17 @@
 //  * ops::matmul with an Epilogue (per call or on pre-packed panels) and
 //    layernorm_value are bit-identical to the unfused op chains they
 //    replace, on every backend, and descriptors that cannot apply throw;
-//  * the Arena reuses buffers (zero heap allocations once warm), zeroes
-//    them on acquire, and buffers outlive the arena itself.
+//  * the Arena reuses buffers (zero heap allocations once warm), serves a
+//    smaller request from a larger parked buffer zeroed over its numel,
+//    releases smaller parked buffers when a new largest class arrives,
+//    stays consistent under concurrent acquire/release, and buffers
+//    outlive the arena itself.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <random>
+#include <thread>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -239,7 +244,108 @@ TEST(Arena, BuffersOutliveTheArena) {
     escaped = arena.acquire(16);
   }
   (*escaped)[15] = 1.0f;  // state kept alive by the deleter
-  escaped.reset();        // parks into the orphaned pool, then frees
+  escaped.reset();        // the arena is gone: freed, not parked
+
+  // The same under a scope, with parked buffers freed at destruction.
+  Tensor result;
+  {
+    plan::Arena arena;
+    plan::ArenaScope scope(arena);
+    Tensor scratch(Shape{4, 64}, 1.0f);
+    result = ops::add(scratch, scratch);
+  }
+  for (float v : result.span()) EXPECT_EQ(v, 2.0f);
+}
+
+TEST(Arena, SmallerRequestReusesALargerParkedBufferZeroedOverItsNumel) {
+  plan::Arena arena;
+  const float* parked = nullptr;
+  {
+    auto big = arena.acquire_raw(1000);  // class 1024
+    std::fill(big->begin(), big->end(), 7.0f);
+    parked = big->data();
+  }
+  const std::uint64_t before = plan::thread_buffer_allocations();
+  auto small = arena.acquire(300);
+  EXPECT_EQ(plan::thread_buffer_allocations() - before, 0u);
+  EXPECT_EQ(small->data(), parked) << "best fit is the one parked buffer";
+  for (Index i = 0; i < 300; ++i) ASSERT_EQ((*small)[i], 0.0f) << i;
+  // Only numel is zeroed: the capacity tail keeps its stale contents.
+  EXPECT_EQ((*small)[300], 7.0f);
+  small.reset();
+  {
+    plan::ArenaScope scope(arena);
+    Tensor t(Shape{5, 60}, 2.5f);  // the same buffer, filled over numel
+    EXPECT_EQ(t.data(), parked);
+    for (float v : t.span()) ASSERT_EQ(v, 2.5f);
+  }
+  const plan::Arena::Stats s = arena.stats();
+  EXPECT_EQ(s.fresh, 1u);
+  EXPECT_EQ(s.reused, 2u);
+  EXPECT_EQ(s.held_bytes, 1024u * sizeof(float));
+  EXPECT_EQ(s.peak_live_bytes, 1000u * sizeof(float));
+}
+
+TEST(Arena, NewLargestClassReleasesSmallerParkedBuffers) {
+  plan::Arena arena;
+  {
+    auto a = arena.acquire(64);   // class 64
+    auto b = arena.acquire(100);  // class 128
+  }
+  plan::Arena::Stats s = arena.stats();
+  EXPECT_EQ(s.pooled, 2u);
+  EXPECT_EQ(s.held_bytes, (64u + 128u) * sizeof(float));
+  auto big = arena.acquire(5000);  // class 8192, above every class so far
+  s = arena.stats();
+  EXPECT_EQ(s.pooled, 0u) << "the smaller parked buffers were released";
+  EXPECT_EQ(s.held_bytes, 8192u * sizeof(float));
+  big.reset();
+  {
+    // The first takes the parked 8192 buffer; the second misses below the
+    // largest class, which adds one buffer and releases nothing.
+    auto c = arena.acquire(16);
+    auto d = arena.acquire(16);
+  }
+  s = arena.stats();
+  EXPECT_EQ(s.pooled, 2u);
+  EXPECT_EQ(s.held_bytes, (8192u + 16u) * sizeof(float));
+  EXPECT_EQ(s.fresh, 4u);
+  EXPECT_EQ(s.peak_live_bytes, 5000u * sizeof(float));
+}
+
+TEST(Arena, ConcurrentAcquireAndReleaseOnASharedArena) {
+  // serve::Engine shares one arena across every server worker thread.
+  plan::Arena arena;
+  constexpr int kThreads = 4;
+  constexpr int kIters = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&arena, t] {
+      std::mt19937 gen(static_cast<unsigned>(t + 1));
+      std::vector<std::pair<std::shared_ptr<AlignedVec>, Index>> held;
+      const auto mark = static_cast<float>(t + 1);
+      for (int i = 0; i < kIters; ++i) {
+        const auto n = static_cast<Index>(1 + gen() % 5000);
+        auto buf = arena.acquire(n);
+        for (Index j = 0; j < n; ++j) {
+          ASSERT_EQ((*buf)[j], 0.0f);
+          (*buf)[j] = mark;
+        }
+        held.emplace_back(std::move(buf), n);
+        if (held.size() > 3) {
+          // No other thread wrote into a buffer this one still holds.
+          const auto& [old, m] = held.front();
+          for (Index j = 0; j < m; ++j) ASSERT_EQ((*old)[j], mark);
+          held.erase(held.begin());
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const plan::Arena::Stats s = arena.stats();
+  EXPECT_EQ(s.fresh + s.reused, std::uint64_t{kThreads} * kIters);
+  EXPECT_GT(s.reused, 0u);
+  EXPECT_GT(s.pooled, 0u);  // released buffers park again
 }
 
 TEST(Arena, ScopeRoutesTensorsAndSteadyStateAllocatesNothing) {

@@ -122,7 +122,7 @@ TEST(SpmdFault, StragglersAreSlownessNotFailure) {
               0.0f)
         << "request " << i;
   }
-  const Metrics::Snapshot m = slow.metrics().summary();
+  const Metrics::Snapshot m = slow.metrics();
   // Stragglers are slowness, not failure: no recovery machinery fired.
   EXPECT_EQ(m.recoveries, 0u);
   EXPECT_EQ(m.mean_recovery_ms, 0.0);
@@ -180,7 +180,7 @@ TEST(SpmdFault, RankDeathServesDegradedThenHealsBitExact) {
   // healed world answers bit-exactly like a never-failed one.
   ASSERT_EQ(ops::max_abs_diff(engine.run(batch, {}, 1.0f), full), 0.0f)
       << plan->describe();
-  const Metrics::Snapshot m = engine.metrics().summary();
+  const Metrics::Snapshot m = engine.metrics();
   EXPECT_EQ(m.recoveries, 1u);
   EXPECT_GT(m.mean_recovery_ms, 0.0);
   EXPECT_GE(m.degraded_responses, 1u);
@@ -235,7 +235,7 @@ TEST(SpmdFault, DegradedSubsetRequestsServeTheSurvivingIntersection) {
     if (ops::max_abs_diff(got, degraded) == 0.0f) break;
     ASSERT_EQ(ops::max_abs_diff(got, full), 0.0f) << "job " << i;
   }
-  ASSERT_GE(engine.metrics().summary().degraded_responses, 1u);
+  ASSERT_GE(engine.metrics().degraded_responses, 1u);
   EXPECT_THROW(engine.wait_recovered(), Error);  // the sabotaged heal
 
   // A subset request straddling dead channels {2,3}: the engine serves
