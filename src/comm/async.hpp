@@ -218,8 +218,7 @@ class AsyncCommunicator final : public ICollective {
 /// Sync-vs-async switch consumed by the D-CHAG front-end, serving, and
 /// training — the comm slice of the unified runtime::Context.
 /// pipeline_chunks is the forward's software-pipeline depth (micro-chunks
-/// of the batch, double-buffered); <= 1 keeps the original monolithic
-/// one-gather forward.
+/// of the batch, double-buffered); <= 1 is one chunk and one gather.
 using CommMode = runtime::CommMode;
 using CommConfig = runtime::CommConfig;
 

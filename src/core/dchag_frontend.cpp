@@ -1,6 +1,8 @@
 #include "core/dchag_frontend.hpp"
 
+#include <algorithm>
 #include <array>
+#include <numeric>
 
 namespace dchag::core {
 
@@ -19,8 +21,7 @@ DchagFrontEnd::DchagFrontEnd(const ModelConfig& cfg, Index total_channels,
       ctx_(std::move(ctx)) {
   cfg_.validate();
   logical_slots_.resize(static_cast<std::size_t>(world_size_));
-  for (int r = 0; r < world_size_; ++r)
-    logical_slots_[static_cast<std::size_t>(r)] = r;
+  std::iota(logical_slots_.begin(), logical_slots_.end(), 0);
   sync_coll_.emplace(comm);
   // The async progress lane is built lazily at the first async forward
   // (collective_for), NOT here: front-end construction must stay free of
@@ -32,6 +33,8 @@ DchagFrontEnd::DchagFrontEnd(const ModelConfig& cfg, Index total_channels,
   register_child(*tokenizer_);
 
   const Index c_local = tokenizer_->local_channels();
+  all_positions_.resize(static_cast<std::size_t>(c_local));
+  std::iota(all_positions_.begin(), all_positions_.end(), Index{0});
   const Index units =
       std::min<Index>(std::max<Index>(opts.tree_units, 1), c_local);
   Rng tree_rng = master_rng.fork(0x73EE);
@@ -77,13 +80,15 @@ Variable DchagFrontEnd::forward_local_partial(const Tensor& images) const {
   // (thread-local, so concurrent ranks don't fight over the process
   // default, and pool workers inherit it across the fan-out).
   runtime::Scope scope(effective_context());
-  DCHAG_CHECK(images.rank() == 4 && images.dim(1) == local_channels(),
-              "DchagFrontEnd expects the rank-local channel slice [B, "
-                  << local_channels() << ", H, W], got "
-                  << images.shape().to_string());
-  Variable tokens = tokenizer_->forward_local(images);      // [B, Cl, S, D]
-  Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});  // [B, S, Cl, D]
-  return tree_->forward(bscd);                              // [B, S, D]
+  return local_partial(images, all_positions_);
+}
+
+Variable DchagFrontEnd::local_partial(
+    const Tensor& images, const std::vector<Index>& positions) const {
+  Variable tokens = tokenizer_->local_tokenizer().forward_at_positions(
+      images, positions);                                   // [b, n, S, D]
+  Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});  // [b, S, n, D]
+  return tree_->forward_subset(bscd, positions);            // [b, S, D]
 }
 
 comm::ICollective& DchagFrontEnd::collective_for(comm::CommMode mode) const {
@@ -93,95 +98,13 @@ comm::ICollective& DchagFrontEnd::collective_for(comm::CommMode mode) const {
 }
 
 Variable DchagFrontEnd::forward(const Tensor& images) const {
-  // One context resolution per forward: everything below (including the
-  // pipelined route and nested ops on pool workers) runs under it.
-  const runtime::Context ctx = effective_context();
-  runtime::Scope scope(ctx);
-  const Index B = images.dim(0);
-  const Index S = cfg_.seq_len();
-  const Index D = cfg_.embed_dim;
-
-  // Pipelined route: micro-chunk the batch so gather traffic overlaps the
-  // next chunk's compute. Needs at least 2 chunks to mean anything; the
-  // K <= 1 route below stays the byte-for-byte original forward.
-  const comm::CommConfig cc = ctx.comm();
-  const Index K =
-      std::min<Index>(std::max<Index>(cc.pipeline_chunks, 1), B);
-  runtime::trace(ctx, "core.forward.pipeline_chunks",
-                 static_cast<double>(K));
-  if (K > 1) return forward_pipelined(images, K, cc.mode);
-
-  // 1-2. Local tokenization + partial aggregation to one representation.
-  Variable partial = forward_local_partial(images);
-
-  // 3. AllGather one channel representation per rank. Downstream (the
-  // final aggregation onward) is replicated, so the backward is a local
-  // slice — no communication (paper §3.3).
-  Variable as_channel = autograd::reshape(partial, Shape{B, S, 1, D});
-  Variable gathered =
-      comm_->size() == 1
-          ? as_channel
-          : parallel::all_gather_cat(as_channel, *comm_, /*dim=*/2,
-                                     parallel::GatherBackward::kLocalSlice);
-
-  // 4. Final shared cross-attention over the P partial representations.
-  return final_->forward(gathered);  // [B, S, D]
-}
-
-Variable DchagFrontEnd::forward_pipelined(const Tensor& images, Index K,
-                                          comm::CommMode mode) const {
-  DCHAG_CHECK(images.rank() == 4 && images.dim(1) == local_channels(),
-              "DchagFrontEnd expects the rank-local channel slice [B, "
-                  << local_channels() << ", H, W], got "
-                  << images.shape().to_string());
-  const Index B = images.dim(0);
-  const Index S = cfg_.seq_len();
-  const Index D = cfg_.embed_dim;
-  comm::ICollective& coll = collective_for(mode);
-
-  // Software pipeline over K batch micro-chunks with two gather slots:
-  //
-  //   chunk k   : tree GEMMs -> issue iall_gather into slot k%2
-  //   chunk k+1 : tree GEMMs        | slot k traffic in flight
-  //   combine k : wait slot k, final cross-attention (the only barrier)
-  //
-  // A slot is re-armed only after its combine, so at most two gathers are
-  // ever in flight and buffers are never overwritten mid-transfer. Under
-  // SyncCollective the identical code runs with eager (pre-completed)
-  // futures: same chunking, same arithmetic order, bit-identical output —
-  // the oracle the FaultyWorld stress tests compare against.
-  std::array<std::optional<parallel::PendingGatherCat>, 2> slots;
-  std::array<Index, 2> slot_chunk{0, 0};
-  std::vector<Variable> outs(static_cast<std::size_t>(K));
-  auto combine = [&](std::size_t s) {
-    Variable gathered = slots[s]->wait();  // [b, S, P, D]
-    outs[static_cast<std::size_t>(slot_chunk[s])] = final_->forward(gathered);
-    slots[s].reset();
-  };
-
-  const Index base = B / K;
-  const Index rem = B % K;
-  Index off = 0;
-  for (Index k = 0; k < K; ++k) {
-    const Index len = base + (k < rem ? 1 : 0);
-    const auto s = static_cast<std::size_t>(k % 2);
-    if (slots[s]) combine(s);  // retire chunk k-2 before re-arming its slot
-    Variable partial = forward_local_partial(images.slice0(off, len));
-    Variable as_channel = autograd::reshape(partial, Shape{len, S, 1, D});
-    slots[s] = parallel::all_gather_cat_start(as_channel, coll, /*dim=*/2);
-    slot_chunk[s] = k;
-    off += len;
-  }
-  for (Index k = std::max<Index>(K - 2, 0); k < K; ++k) {
-    const auto s = static_cast<std::size_t>(k % 2);
-    if (slots[s]) combine(s);
-  }
-  return autograd::concat(outs, 0);  // [B, S, D]
+  std::vector<int> everyone(static_cast<std::size_t>(comm_->size()));
+  std::iota(everyone.begin(), everyone.end(), 0);
+  return forward_chunked(images, all_positions_, everyone);
 }
 
 Variable DchagFrontEnd::forward_subset(
     const Tensor& images, std::span<const Index> channels) const {
-  runtime::Scope scope(effective_context());
   DCHAG_CHECK(images.rank() == 4 &&
                   images.dim(1) == static_cast<Index>(channels.size()),
               "forward_subset expects the full subset batch [B, "
@@ -199,78 +122,117 @@ Variable DchagFrontEnd::forward_subset(
                     << total_channels() << ")");
     prev = c;
   }
+  const Index c_local = local_channels();
+  const int me = comm_->rank();
+
+  // Group rank r owns global ids [slot*c_local, (slot+1)*c_local), where
+  // slot is the original channel-partition slot it carries (== r until a
+  // rebind remaps a survivor group); sorted ids make that one contiguous
+  // run of the request. Channels of slots no live rank carries are never
+  // owned, so a degraded group serves a request like any other.
+  std::vector<int> participants;
+  Index first = 0;
+  std::vector<Index> mine;
+  for (int r = 0; r < comm_->size(); ++r) {
+    const Index lo =
+        static_cast<Index>(logical_slots_[static_cast<std::size_t>(r)]) *
+        c_local;
+    const auto begin = std::lower_bound(channels.begin(), channels.end(), lo);
+    const auto end = std::lower_bound(begin, channels.end(), lo + c_local);
+    if (begin == end) continue;
+    participants.push_back(r);
+    if (r == me) {
+      first = static_cast<Index>(begin - channels.begin());
+      mine.assign(begin, end);
+    }
+  }
+  DCHAG_CHECK(!participants.empty(),
+              "no requested channel is owned by a live rank");
+  if (mine.empty())
+    return forward_chunked(images, /*positions=*/{}, participants);
+  return forward_chunked(
+      ops::slice(images, 1, first, static_cast<Index>(mine.size())),
+      tokenizer_->local_tokenizer().local_positions(mine), participants);
+}
+
+Variable DchagFrontEnd::forward_chunked(
+    const Tensor& images, const std::vector<Index>& positions,
+    const std::vector<int>& participants) const {
+  // One context resolution per forward: everything below (including
+  // nested ops on pool workers) runs under it.
+  const runtime::Context ctx = effective_context();
+  runtime::Scope scope(ctx);
   const Index B = images.dim(0);
   const Index S = cfg_.seq_len();
   const Index D = cfg_.embed_dim;
-  const Index c_local = local_channels();
-  const int P = comm_->size();
+  const comm::CommConfig cc = ctx.comm();
+  const Index K = std::max<Index>(std::min<Index>(cc.pipeline_chunks, B), 1);
+  runtime::trace(ctx, "core.forward.pipeline_chunks", static_cast<double>(K));
+  // A single chunk has no next chunk to overlap its gather with, so it
+  // takes the blocking lane whatever the mode.
+  comm::ICollective& coll =
+      collective_for(K > 1 ? cc.mode : comm::CommMode::kSync);
 
-  // This rank's slice of the subset: global ids in
-  // [slot*c_local, (slot+1)*c_local), where slot is the original
-  // channel-partition slot this rank carries (== rank until a rebind
-  // remaps a survivor group). Sorted ids make it contiguous.
-  const Index lo =
-      static_cast<Index>(
-          logical_slots_[static_cast<std::size_t>(comm_->rank())]) *
-      c_local;
-  const Index hi = lo + c_local;
-  Index first = 0;
-  Index count = 0;
-  std::vector<Index> mine;
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    if (channels[i] < lo) first = static_cast<Index>(i) + 1;
-    if (channels[i] >= lo && channels[i] < hi) {
-      mine.push_back(channels[i]);
-      ++count;
-    }
-  }
-
-  // Partial aggregation of the local intersection (or a zero placeholder
-  // for ranks that own none of the requested channels).
-  Variable partial;
-  if (count > 0) {
-    Tensor local = ops::slice(images, 1, first, count);
-    const std::vector<Index> positions =
-        tokenizer_->local_tokenizer().local_positions(mine);
-    Variable tokens =
-        tokenizer_->local_tokenizer().forward_at_positions(local, positions);
-    Variable bscd = autograd::permute(tokens, {0, 2, 1, 3});
-    partial = tree_->forward_subset(bscd, positions);
-  } else {
-    partial = autograd::Variable::input(Tensor(Shape{B, S, D}, 0.0f));
-  }
-
-  Variable as_channel = autograd::reshape(partial, Shape{B, S, 1, D});
-  Variable gathered =
-      P == 1 ? as_channel
-             : parallel::all_gather_cat(as_channel, *comm_, /*dim=*/2,
-                                        parallel::GatherBackward::kLocalSlice);
-
-  // Keep only the representations of ranks that actually own subset
-  // channels (deterministic from `channels`, so all ranks agree). Slot
-  // ids are the ORIGINAL partition slots, so after a survivor rebind the
-  // final aggregation sees the same kept reps in the same slots as the
-  // full-world subset forward would — dropped ranks look exactly like
-  // empty-intersection ranks, which is what makes degraded serving
-  // bit-exact on the surviving channels.
-  std::vector<Variable> kept;
+  // The final aggregation sees the participants' representations at their
+  // ORIGINAL partition slots, so after a survivor rebind it gets the same
+  // kept reps in the same slots as the full-world forward over the same
+  // channels would — bit-exact degraded serving.
   std::vector<Index> slots;
-  for (int r = 0; r < P; ++r) {
-    const Index slot =
-        static_cast<Index>(logical_slots_[static_cast<std::size_t>(r)]);
-    const Index rlo = slot * c_local;
-    bool has = false;
-    for (Index c : channels)
-      if (c >= rlo && c < rlo + c_local) { has = true; break; }
-    if (has) {
-      kept.push_back(autograd::slice(gathered, 2, static_cast<Index>(r), 1));
-      slots.push_back(slot);
+  slots.reserve(participants.size());
+  for (int r : participants)
+    slots.push_back(
+        static_cast<Index>(logical_slots_[static_cast<std::size_t>(r)]));
+  const bool everyone =
+      static_cast<int>(participants.size()) == comm_->size();
+
+  // Software pipeline over K batch micro-chunks with two gather slots:
+  //
+  //   chunk k   : tokenizer + tree GEMMs -> issue iall_gather into slot k%2
+  //   chunk k+1 : tokenizer + tree GEMMs  | slot k traffic in flight
+  //   combine k : wait slot k, final cross-attention (the only barrier)
+  //
+  // A slot is re-armed only after its combine, so at most two gathers are
+  // ever in flight and buffers are never overwritten mid-transfer. Under
+  // SyncCollective the identical code runs with eager (pre-completed)
+  // futures: same chunking, same arithmetic order, bit-identical output —
+  // the oracle the FaultyWorld stress tests compare against.
+  std::array<std::optional<parallel::PendingGatherCat>, 2> pending;
+  std::vector<Variable> outs(static_cast<std::size_t>(K));
+  auto combine = [&](Index k) {
+    auto& slot = pending[static_cast<std::size_t>(k % 2)];
+    Variable reps = slot->wait();  // [b, S, P, D]
+    slot.reset();
+    if (!everyone) {
+      std::vector<Variable> kept;
+      kept.reserve(participants.size());
+      for (int r : participants)
+        kept.push_back(autograd::slice(reps, 2, static_cast<Index>(r), 1));
+      reps = kept.size() == 1 ? kept.front() : autograd::concat(kept, 2);
     }
+    outs[static_cast<std::size_t>(k)] = final_->forward_subset(reps, slots);
+  };
+
+  const Index base = B / K;
+  const Index rem = B % K;
+  Index off = 0;
+  for (Index k = 0; k < K; ++k) {
+    const Index len = base + (k < rem ? 1 : 0);
+    if (k >= 2) combine(k - 2);  // retire chunk k-2 before re-arming its slot
+    // A rank owning none of the requested channels still sends a
+    // representation (collectives stay symmetric); combine drops it.
+    Variable partial =
+        positions.empty()
+            ? Variable::input(Tensor(Shape{len, S, D}, 0.0f))
+            : local_partial(images.slice0(off, len), positions);
+    Variable as_channel = autograd::reshape(partial, Shape{len, S, 1, D});
+    // The gather's backward is a local slice: downstream is replicated,
+    // so the backward pass issues no communication (§3.3).
+    pending[static_cast<std::size_t>(k % 2)] =
+        parallel::all_gather_cat_start(as_channel, coll, /*dim=*/2);
+    off += len;
   }
-  DCHAG_CHECK(!kept.empty(), "subset maps to no rank — empty channel list?");
-  Variable participants =
-      kept.size() == 1 ? kept.front() : autograd::concat(kept, 2);
-  return final_->forward_subset(participants, slots);
+  for (Index k = std::max<Index>(K - 2, 0); k < K; ++k) combine(k);
+  return K == 1 ? outs.front() : autograd::concat(outs, 0);  // [B, S, D]
 }
 
 Tensor DchagFrontEnd::slice_local_channels(const Tensor& full_images) const {

@@ -14,6 +14,14 @@
 // replicated parameters stay in sync without gradient synchronisation and
 // the rank-local tokenizer/tree parameters train on purely local
 // gradients: no communication in the backward pass.
+//
+// One driver runs these four steps for every forward: full-channel
+// (forward), channel-subset and degraded survivor-group (forward_subset)
+// alike. It splits the batch into K = clamp(pipeline_chunks, 1, B)
+// micro-chunks so chunk k's gather is in flight while chunk k+1 computes;
+// K = 1 is the plain single-gather forward. A rank owning none of the
+// requested channels sends a zero placeholder, and only the owners'
+// representations enter step 4, at their original partition slots.
 #pragma once
 
 #include <optional>
@@ -70,7 +78,12 @@ class DchagFrontEnd : public model::FrontEnd {
   /// and slices its own intersection internally. Ranks owning none of the
   /// subset contribute a zero placeholder to the AllGather (collectives
   /// must stay symmetric) which is dropped before the final aggregation,
-  /// so the result matches the subset-only math on every rank.
+  /// so the result matches the subset-only math on every rank. After a
+  /// survivor rebind, channels of slots no live rank carries are dropped
+  /// the same way: a degraded group serves a request with this same call,
+  /// bit-exact to the healthy group over the surviving channels. Throws
+  /// (uniformly, before any collective) if no live rank owns a requested
+  /// channel.
   [[nodiscard]] autograd::Variable forward_subset(
       const tensor::Tensor& images,
       std::span<const Index> channels) const override;
@@ -84,7 +97,7 @@ class DchagFrontEnd : public model::FrontEnd {
   [[nodiscard]] Index local_channels() const override {
     return tokenizer_->local_channels();
   }
-  [[nodiscard]] Index total_channels() const {
+  [[nodiscard]] Index total_channels() const override {
     return tokenizer_->total_channels();
   }
   [[nodiscard]] const model::AggregationTree& partial_tree() const {
@@ -104,8 +117,8 @@ class DchagFrontEnd : public model::FrontEnd {
   [[nodiscard]] comm::CommConfig comm_config() const {
     return effective_context().comm();
   }
-  /// Ledger of async collectives issued by pipelined forwards (null until
-  /// the first async forward constructs the progress lane).
+  /// Ledger of async collectives issued by chunked (K > 1) async
+  /// forwards (null until the first one constructs the progress lane).
   [[nodiscard]] const comm::CommStats* async_stats() const {
     return async_ ? &async_->stats() : nullptr;
   }
@@ -116,11 +129,9 @@ class DchagFrontEnd : public model::FrontEnd {
   /// carries (strictly increasing, values < the construction-time world
   /// size; rank i's entry must be this rank's own original slot). Tears
   /// down the async progress lane (it holds a shadow group of the old
-  /// comm) and rebuilds the sync lane; forward_subset and
+  /// comm) and rebuilds the sync lane; every forward and
   /// slice_local_channels consult the slot map, so a degraded group
-  /// serves the surviving channels bit-exactly. The full-world forward()
-  /// remains valid only when the group is back to the original size (the
-  /// final aggregator's width is fixed at construction).
+  /// serves the surviving channels bit-exactly through forward_subset.
   void rebind(Communicator& comm, std::vector<int> logical_slots);
   /// Current rank -> original channel-slot map (identity until rebind).
   [[nodiscard]] const std::vector<int>& logical_slots() const {
@@ -140,11 +151,20 @@ class DchagFrontEnd : public model::FrontEnd {
   }
 
  private:
-  /// The overlap pipeline (double-buffered micro-chunks of the batch):
-  /// level-k gather traffic is in flight while chunk k+1's tokenizer/tree
-  /// GEMMs issue; wait() happens only at each chunk's combine point.
-  [[nodiscard]] autograd::Variable forward_pipelined(
-      const tensor::Tensor& images, Index chunks, comm::CommMode mode) const;
+  /// The one D-CHAG forward. `images` [B, n, H, W] holds this rank's
+  /// channels at tokenizer `positions` (n == positions.size(); empty =
+  /// this rank owns none of the request and sends a zero placeholder);
+  /// `participants` are the group ranks, ascending, whose representations
+  /// the final aggregation keeps. Double-buffered micro-chunks of the
+  /// batch: chunk k's gather is in flight while chunk k+1's tokenizer and
+  /// tree GEMMs issue; wait() happens only at each chunk's combine point.
+  [[nodiscard]] autograd::Variable forward_chunked(
+      const tensor::Tensor& images, const std::vector<Index>& positions,
+      const std::vector<int>& participants) const;
+  /// Tokenize + partial tree for one chunk -> [b, S, D] (no collectives).
+  [[nodiscard]] autograd::Variable local_partial(
+      const tensor::Tensor& images,
+      const std::vector<Index>& positions) const;
   /// The ICollective for `mode`. First async use constructs the
   /// AsyncCommunicator, which is COLLECTIVE (it splits a shadow group) —
   /// all ranks must take their first async forward together, the usual
@@ -158,6 +178,8 @@ class DchagFrontEnd : public model::FrontEnd {
   /// Group rank -> original channel slot. Identity until rebind() maps a
   /// survivor group onto the original partition.
   std::vector<int> logical_slots_;
+  /// Tokenizer positions 0..C/P-1: every local channel.
+  std::vector<Index> all_positions_;
   /// Pinned execution context (nullopt = read the ambient context per
   /// forward).
   std::optional<runtime::Context> ctx_;

@@ -440,7 +440,9 @@ void Ingress::dispatch_loop() {
       const double total = ms_between(d.job.accepted, now);
       const double queued = ms_between(d.job.accepted, d.job.dispatched);
       metrics_.record_request(total, queued);
-      metrics_.record_batch(1, total - queued);
+      // The worker timed its own forward: ring transit and poll sleeps
+      // are latency, not service.
+      metrics_.record_batch(1, d.hdr.forward_ms, d.hdr.forward_allocations);
       metrics_.mark_window(now_ms());
       if (d.hdr.status == 0) {
         InferResult result;

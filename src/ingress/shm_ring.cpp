@@ -16,7 +16,7 @@ namespace dchag::ingress {
 
 namespace {
 constexpr std::uint64_t kMagic = 0x44434841474E4731ull;  // "DCHAGNG1"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 }  // namespace
 
 // The control block at the start of the segment. Cache-line alignment

@@ -64,6 +64,8 @@ struct RingResponse {
   std::uint32_t status = 0;  ///< 0 = ok, else an ErrorCode
   std::uint32_t error_bytes = 0;
   std::int64_t s = 0, d = 0;  ///< prediction shape [S, D]
+  double forward_ms = 0.0;    ///< the worker's Engine::run, timed there
+  std::uint64_t forward_allocations = 0;  ///< its heap buffer allocations
 };
 
 class ShmRing {

@@ -121,7 +121,14 @@ int worker_main(int argc, char** argv) {
             tensor::Shape{1, req.c, req.h, req.w}, std::move(payload));
         std::vector<Index> channels(req.channels,
                                     req.channels + req.n_channels);
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::uint64_t allocs0 = tensor::plan::thread_buffer_allocations();
         Tensor pred = engine.run(images, channels, req.lead_time);
+        resp.forward_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        resp.forward_allocations =
+            tensor::plan::thread_buffer_allocations() - allocs0;
         if (crash_at > 0 && served == static_cast<std::uint64_t>(crash_at))
           ::_exit(42);  // injected crash: request consumed, answer lost
         Tensor row =

@@ -1,5 +1,7 @@
 #include "model/aggregation.hpp"
 
+#include <numeric>
+
 namespace dchag::model {
 
 TreePlan plan_tree(Index channels, Index max_group_width) {
@@ -50,7 +52,9 @@ AggregationTree::AggregationTree(const ModelConfig& cfg, AggLayerKind kind,
                                  Rng& rng, const std::string& name)
     : cfg_(cfg),
       channels_(channels),
-      plan_(plan_tree(channels, max_group_width)) {
+      plan_(plan_tree(channels, max_group_width)),
+      all_slots_(static_cast<std::size_t>(channels)) {
+  std::iota(all_slots_.begin(), all_slots_.end(), Index{0});
   units_.resize(plan_.level_widths.size());
   for (std::size_t lvl = 0; lvl < plan_.level_widths.size(); ++lvl) {
     const auto& widths = plan_.level_widths[lvl];
@@ -73,37 +77,12 @@ std::unique_ptr<AggregationTree> AggregationTree::with_units(
 }
 
 Variable AggregationTree::forward(const Variable& tokens) const {
-  const auto& s = tokens.shape();
-  DCHAG_CHECK(s.rank() == 4 && s.dim(2) == channels_,
-              "tree expects [B, S, " << channels_ << ", D], got "
-                                     << s.to_string());
-  const Index B = s.dim(0);
-  const Index S = s.dim(1);
-  const Index D = s.dim(3);
-
-  Variable current = tokens;  // [B, S, tokens_at_level, D]
-  for (std::size_t lvl = 0; lvl < units_.size(); ++lvl) {
-    const auto& widths = plan_.level_widths[lvl];
-    std::vector<Variable> outputs;
-    outputs.reserve(widths.size());
-    Index offset = 0;
-    for (std::size_t g = 0; g < widths.size(); ++g) {
-      Variable group = autograd::slice(current, 2, offset, widths[g]);
-      Variable reduced = units_[lvl][g]->forward(group);  // [B, S, D]
-      outputs.push_back(
-          autograd::reshape(reduced, tensor::Shape{B, S, 1, D}));
-      offset += widths[g];
-    }
-    current = outputs.size() == 1 ? outputs.front()
-                                  : autograd::concat(outputs, 2);
-  }
-  return autograd::reshape(current, tensor::Shape{B, S, D});
+  return forward_subset(tokens, all_slots_);
 }
 
 Variable AggregationTree::forward_subset(
     const Variable& tokens, std::span<const Index> slots) const {
   detail::check_subset_slots(slots, channels_, tokens.shape().dim(2));
-  if (static_cast<Index>(slots.size()) == channels_) return forward(tokens);
   const auto& s = tokens.shape();
   DCHAG_CHECK(s.rank() == 4 && s.dim(3) == cfg_.embed_dim,
               "tree expects [B, S, W, " << cfg_.embed_dim << "], got "

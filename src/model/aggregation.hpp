@@ -62,13 +62,14 @@ class AggregationTree : public ChannelAggregator {
       const ModelConfig& cfg, AggLayerKind kind, Index channels, Index units,
       Rng& rng, const std::string& name = "tree");
 
-  /// tokens: [B, S, C, D] -> [B, S, D].
+  /// tokens: [B, S, C, D] -> [B, S, D]; forward_subset over every slot.
   [[nodiscard]] Variable forward(const Variable& tokens) const override;
-  /// Partial-channel path (serving a channel subset, paper §2.1): each
+  /// The tree walk (also serving a channel subset, paper §2.1): each
   /// token is routed to the unit owning its slot; units with no present
   /// slots are skipped, and the surviving group outputs propagate up the
   /// tree the same way. Because slots are sorted and groups own contiguous
-  /// slot ranges, every unit's inputs stay one contiguous slice.
+  /// slot ranges, every unit's inputs stay one contiguous slice. With
+  /// every slot present each unit runs its plain full-width forward.
   [[nodiscard]] Variable forward_subset(
       const Variable& tokens, std::span<const Index> slots) const override;
   [[nodiscard]] Index width() const override { return channels_; }
@@ -78,6 +79,7 @@ class AggregationTree : public ChannelAggregator {
   ModelConfig cfg_;
   Index channels_;
   TreePlan plan_;
+  std::vector<Index> all_slots_;  // 0..channels-1
   // units_[level][group]
   std::vector<std::vector<std::unique_ptr<ChannelAggregator>>> units_;
 };

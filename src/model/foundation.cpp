@@ -25,13 +25,6 @@ Variable LocalFrontEnd::forward(const Tensor& images) const {
   return agg_->forward(bscd);                          // [B, S, D]
 }
 
-Variable FrontEnd::forward_subset(const Tensor& images,
-                                  std::span<const Index> channels) const {
-  (void)images;
-  (void)channels;
-  DCHAG_FAIL("this front-end does not support channel-subset inference");
-}
-
 Variable LocalFrontEnd::forward_subset(
     const Tensor& images, std::span<const Index> channels) const {
   // One id->position mapping feeds both the tokenizer and the aggregator

@@ -21,12 +21,16 @@ class FrontEnd : public Module {
   /// Channel-subset inference (paper §2.1): `images` is [B, W, H, W]
   /// holding only the listed global channels (strictly increasing,
   /// W == channels.size()); returns [B, S, D] aggregated from those
-  /// channels alone. Default: unsupported; serving-capable front-ends
-  /// override.
+  /// channels alone. With every channel listed it equals forward() over
+  /// select_input(images), which is how serving answers full requests.
   [[nodiscard]] virtual Variable forward_subset(
-      const Tensor& images, std::span<const Index> channels) const;
+      const Tensor& images, std::span<const Index> channels) const = 0;
   /// Channels this front-end consumes from the local input tensor.
   [[nodiscard]] virtual Index local_channels() const = 0;
+  /// Channels of the full input (select_input's [B, C, H, W]).
+  [[nodiscard]] virtual Index total_channels() const {
+    return local_channels();
+  }
   /// Extracts this front-end's input from the full [B, C, H, W] batch
   /// (identity for single-device front-ends; D-CHAG slices its rank's
   /// channels). Lets training loops stay strategy-agnostic.

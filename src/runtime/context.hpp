@@ -60,8 +60,8 @@ enum class CommMode { kSync, kAsync };
 
 struct CommConfig {
   CommMode mode = CommMode::kSync;
-  /// Forward software-pipeline depth (batch micro-chunks, double
-  /// buffered); <= 1 keeps the monolithic one-gather forward.
+  /// Software-pipeline depth of every D-CHAG forward (batch micro-chunks,
+  /// double buffered); <= 1 is one chunk and one gather.
   int pipeline_chunks = 1;
 };
 

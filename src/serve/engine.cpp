@@ -1,10 +1,15 @@
 #include "serve/engine.hpp"
 
+#include <numeric>
+
 namespace dchag::serve {
 
 Engine::Engine(model::ForecastModel& model,
                std::optional<runtime::Context> ctx, EngineOptions opts)
-    : model_(&model), ctx_(std::move(ctx)), opts_(opts) {
+    : model_(&model),
+      ctx_(std::move(ctx)),
+      opts_(opts),
+      all_channels_(all_channels(model.frontend())) {
   if (opts_.plan) {
     model_->freeze_for_serving();
   } else {
@@ -23,14 +28,16 @@ Tensor Engine::run(const Tensor& images, const std::vector<Index>& channels,
   std::optional<tensor::plan::ArenaScope> arena_scope;
   if (opts_.plan) arena_scope.emplace(arena_);
   runtime::Scope ctx_scope(runtime::Context::effective_or_current(ctx_));
-  if (channels.empty()) {
-    // Full-channel request; strategy-agnostic input selection (identity
-    // for the single-device front-end).
-    return model_
-        ->predict(model_->frontend().select_input(images), lead_time)
-        .value();
-  }
-  return model_->predict_subset(images, channels, lead_time).value();
+  return model_
+      ->predict_subset(images, channels.empty() ? all_channels_ : channels,
+                       lead_time)
+      .value();
+}
+
+std::vector<Index> all_channels(const model::FrontEnd& frontend) {
+  std::vector<Index> all(static_cast<std::size_t>(frontend.total_channels()));
+  std::iota(all.begin(), all.end(), Index{0});
+  return all;
 }
 
 InferenceFn Engine::inference_fn() const {

@@ -42,7 +42,7 @@ class Engine {
   /// The model must outlive the engine. It is switched to eval mode here
   /// (and, with opts.plan, frozen for serving — re-freeze via
   /// freeze_for_serving() after any weight mutation such as load_module);
-  /// full-channel requests must carry exactly frontend().local_channels()
+  /// full-channel requests must carry exactly frontend().total_channels()
   /// channel slabs.
   ///
   /// `ctx` pins the execution context every run() uses; nullopt =
@@ -53,9 +53,9 @@ class Engine {
                   std::optional<runtime::Context> ctx = std::nullopt,
                   EngineOptions opts = {});
 
-  /// Tape-free batched forward; `channels` empty means all channels,
-  /// otherwise the subset routes through the front-end's partial-channel
-  /// path. Thread-safe for concurrent callers.
+  /// Tape-free batched forward; `channels` empty means all channels.
+  /// Either way the request runs the front-end's forward_subset over its
+  /// channel list. Thread-safe for concurrent callers.
   [[nodiscard]] Tensor run(const Tensor& images,
                            const std::vector<Index>& channels,
                            float lead_time) const;
@@ -75,6 +75,11 @@ class Engine {
   std::optional<runtime::Context> ctx_;
   EngineOptions opts_;
   mutable tensor::plan::Arena arena_;
+  std::vector<Index> all_channels_;  ///< what an empty channel list means
 };
+
+/// Every global channel id of the front-end's full input, 0..C-1: the
+/// channel list of a full-channel request.
+[[nodiscard]] std::vector<Index> all_channels(const model::FrontEnd& frontend);
 
 }  // namespace dchag::serve

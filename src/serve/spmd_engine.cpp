@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/dchag_frontend.hpp"
-#include "tensor/ops.hpp"
 #include "train/checkpoint.hpp"
 
 namespace dchag::serve {
@@ -141,6 +140,7 @@ void SpmdEngine::serve_loop(comm::Communicator* active,
                             model::ForecastModel* model,
                             std::uint64_t min_stamp) {
   auto* fe = dynamic_cast<core::DchagFrontEnd*>(&model->frontend_mut());
+  const std::vector<Index> all = all_channels(model->frontend());
   // Regrouped handles (degraded survivor groups, adopted healed groups)
   // live here; `active` always points at the current one.
   std::optional<comm::Communicator> owned;
@@ -175,7 +175,7 @@ void SpmdEngine::serve_loop(comm::Communicator* active,
           fe->rebind(*active, full);
           adopted = job.heal_epoch;
         }
-        execute_job(*active, *model, job, seen);
+        execute_job(*active, *model, job, seen, all);
         done = true;
       } catch (const comm::RankFailure&) {
         // Structural fault. Non-D-CHAG front-ends cannot regroup (their
@@ -191,9 +191,12 @@ void SpmdEngine::serve_loop(comm::Communicator* active,
 
 void SpmdEngine::execute_job(comm::Communicator& comm,
                              model::ForecastModel& model, const Job& job,
-                             std::uint64_t seq) {
-  auto* fe = dynamic_cast<core::DchagFrontEnd*>(&model.frontend_mut());
-  const bool degraded_world = fe != nullptr && comm.size() < fe->world_size();
+                             std::uint64_t seq,
+                             const std::vector<Index>& all) {
+  const auto* fe =
+      dynamic_cast<const core::DchagFrontEnd*>(&model.frontend());
+  const std::vector<Index>& requested =
+      job.channels->empty() ? all : *job.channels;
   // A throwing forward must not kill the world: capture the error and
   // keep serving. Model validation runs on identical inputs on every rank
   // before any collective, so failures are uniform and all ranks reach
@@ -203,59 +206,21 @@ void SpmdEngine::execute_job(comm::Communicator& comm,
   std::exception_ptr err;
   bool degraded_answer = false;
   try {
-    if (!degraded_world) {
-      pred = job.channels->empty()
-                 ? model.predict(model.frontend().select_input(*job.images),
-                                 job.lead_time)
-                 : model.predict_subset(*job.images, *job.channels,
-                                        job.lead_time);
-    } else {
-      // Degraded survivor group: serve from the surviving channels. The
+    if (fe != nullptr && comm.size() < fe->world_size()) {
+      // Degraded survivor group: the same forward serves the request; the
+      // front-end drops the channels of slots no survivor carries. The
       // head still predicts every target channel, so the output shape is
-      // unchanged, and the subset forward's arithmetic is identical to a
-      // healthy world's forward over the same channel subset.
-      const Index c_local = fe->local_channels();
-      std::vector<Index> surviving;
-      surviving.reserve(fe->logical_slots().size() *
-                        static_cast<std::size_t>(c_local));
-      for (int slot : fe->logical_slots())
-        for (Index c = 0; c < c_local; ++c)
-          surviving.push_back(static_cast<Index>(slot) * c_local + c);
-      if (job.channels->empty()) {
-        // Full-channel request: slice the survivors' slots out of the
-        // full batch and run the subset path over all of them.
-        std::vector<Tensor> slabs;
-        slabs.reserve(fe->logical_slots().size());
-        for (int slot : fe->logical_slots())
-          slabs.push_back(tensor::ops::slice(
-              *job.images, 1, static_cast<Index>(slot) * c_local, c_local));
-        const Tensor sub = slabs.size() == 1 ? slabs.front()
-                                             : tensor::ops::concat(slabs, 1);
-        pred = model.predict_subset(sub, surviving, job.lead_time);
-        degraded_answer = true;
-      } else {
-        // Subset request: serve the surviving intersection.
-        std::vector<Index> inter;
-        std::vector<Index> cols;  // positions within the request batch
-        for (std::size_t i = 0; i < job.channels->size(); ++i) {
-          const Index c = (*job.channels)[i];
-          if (std::binary_search(surviving.begin(), surviving.end(), c)) {
-            inter.push_back(c);
-            cols.push_back(static_cast<Index>(i));
-          }
-        }
-        DCHAG_CHECK(!inter.empty(),
-                    "degraded world: no requested channel survives");
-        degraded_answer = inter.size() < job.channels->size();
-        std::vector<Tensor> slabs;
-        slabs.reserve(cols.size());
-        for (Index i : cols)
-          slabs.push_back(tensor::ops::slice(*job.images, 1, i, 1));
-        const Tensor sub = slabs.size() == 1 ? slabs.front()
-                                             : tensor::ops::concat(slabs, 1);
-        pred = model.predict_subset(sub, inter, job.lead_time);
-      }
+      // unchanged.
+      const std::vector<int>& live = fe->logical_slots();
+      std::size_t served = 0;
+      for (Index c : requested)
+        served += std::binary_search(
+            live.begin(), live.end(),
+            static_cast<int>(c / fe->local_channels()));
+      DCHAG_CHECK(served > 0, "degraded world: no requested channel survives");
+      degraded_answer = served < requested.size();
     }
+    pred = model.predict_subset(*job.images, requested, job.lead_time);
   } catch (const comm::RankFailure&) {
     throw;
   } catch (...) {

@@ -3,12 +3,12 @@
 //
 // The engine owns one long-lived World whose rank threads each construct
 // their own rank-local model (via the factory) once, then loop on a shared
-// job slot: every rank reads the same full batch, slices its own channels
-// (DchagFrontEnd does this internally, including the partial-channel
-// subset path), runs the tape-free forward — whose final aggregation
-// output is replicated across ranks — and the group leader publishes the
-// result. Construction cost (tokenizer/tree weights per rank) is paid once
-// at cold start, not per batch.
+// job slot: every rank reads the same batch and runs the tape-free
+// predict_subset over the request's channel list (every channel when it
+// names none; DchagFrontEnd slices each rank's own channels internally).
+// The final aggregation output is replicated across ranks, and the group
+// leader publishes the result. Construction cost (tokenizer/tree weights
+// per rank) is paid once at cold start, not per batch.
 //
 // Fault recovery (docs/ARCHITECTURE.md §10): when a FaultPlan structural
 // event kills a rank mid-job, every survivor catches comm::RankFailure,
@@ -156,11 +156,13 @@ class SpmdEngine {
   /// healed-group handle, reload its checkpoint shard if configured,
   /// signal heal-ready, then serve.
   void respawn_rank(comm::Communicator healed, std::uint64_t epoch);
-  /// One job execution on the current group; throws comm::RankFailure
-  /// upward for recovery, publishes result/error when this participant
-  /// is the group leader.
+  /// One job execution on the current group: predict_subset over the
+  /// request's channels (`all` when it names none), healthy or degraded.
+  /// Throws comm::RankFailure upward for recovery, publishes result/error
+  /// when this participant is the group leader.
   void execute_job(comm::Communicator& comm, model::ForecastModel& model,
-                   const Job& job, std::uint64_t seq);
+                   const Job& job, std::uint64_t seq,
+                   const std::vector<Index>& all);
 
   void stop_and_join();
 

@@ -94,21 +94,31 @@ std::shared_ptr<AlignedVec> Arena::acquire_raw(Index n) {
                                                        // before the new one
     std::lock_guard<std::mutex> lock(state_->mu);
     State& s = *state_;
-    const std::uint64_t fits = s.occupied & (~std::uint64_t{0} << k);
+    // Twice the live peak, this request counted, bounds the capacity the
+    // arena holds. A hit may borrow a larger parked buffer only while the
+    // capacity handed out stays within it: a small request parked in a
+    // much larger buffer is capacity no eviction can return.
+    const std::uint64_t bound =
+        2 * std::max(s.peak_live_bytes, s.live_bytes + live);
+    const std::uint64_t handed_out = s.held_bytes - s.parked_bytes;
+    const std::uint64_t room = bound > handed_out ? bound - handed_out : 0;
+    const int widest = std::bit_width(room / sizeof(float)) - 1;
+    const std::uint64_t fits =
+        widest < k ? 0
+                   : s.occupied & (~std::uint64_t{0} << k) &
+                         (~std::uint64_t{0} >> (kClasses - 1 - widest));
     if (fits != 0) {
       buf = s.take(std::countr_zero(fits));
       ++s.reused;
     } else {
-      // Every parked buffer is smaller than the request. A request above
-      // every class served so far is a new largest shape: release them
-      // all, so the footprint follows that shape rather than the shapes
-      // before it. Any other miss keeps them — the same forward reuses
+      // A request above every class served so far is a new largest
+      // shape, and every parked buffer is smaller: release them all, so
+      // the footprint follows that shape rather than the shapes before
+      // it. Any other miss keeps them — the same forward reuses
       // them a moment later — unless the arena would then hold more than
       // twice its live peak; then the smallest go first.
       const std::uint64_t cap = bytes_of(std::uint64_t{1} << k);
-      const std::uint64_t bound =
-          2 * std::max(s.peak_live_bytes, s.live_bytes + live);
-      const std::uint64_t in_use = s.held_bytes - s.parked_bytes + cap;
+      const std::uint64_t in_use = handed_out + cap;
       const std::uint64_t keep =
           k > s.largest_class || in_use >= bound ? 0 : bound - in_use;
       s.evict(keep, &evicted);

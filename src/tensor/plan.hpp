@@ -4,10 +4,11 @@
 // Installing an ArenaScope on the serving thread reroutes every Tensor
 // construction on that thread through the arena. A request of n floats is
 // rounded up to its capacity class (the next power of two) and served
-// best-fit: the smallest parked buffer whose capacity covers the class.
-// On a miss every parked buffer is smaller than the request. If the
-// request is above every class served so far — a new largest shape — the
-// arena releases them all before allocating, so its footprint follows the
+// best-fit: the smallest parked buffer whose capacity covers the class,
+// unless taking it would lift the capacity handed out above twice the
+// live peak. If a miss's request is above every class served so far — a
+// new largest shape, so every parked buffer is smaller — the arena
+// releases them all before allocating, so its footprint follows the
 // largest shape served, not the number of (batch, channel-subset) shapes
 // seen. Other misses keep them, since the same forward reuses them a
 // moment later, unless the arena would then hold more than twice its live

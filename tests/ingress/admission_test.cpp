@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <sstream>
 #include <string>
@@ -215,8 +216,17 @@ TEST(Admission, MetricsScrapeServesEveryExpositionNameOnce) {
   Ingress ingress(cfg);
 
   Client client(ingress.port());
-  const Tensor images = testutil::sample_image(77);
-  testutil::expect_bit_exact(client.infer(images), trained.reference(images));
+  double client_ms = 0.0;  // summed round trips, as the client sees them
+  auto timed_infer = [&](std::uint64_t seed) {
+    const Tensor images = testutil::sample_image(seed);
+    const auto t0 = std::chrono::steady_clock::now();
+    const Tensor pred = client.infer(images);
+    client_ms += std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    testutil::expect_bit_exact(pred, trained.reference(images));
+  };
+  timed_infer(77);
   const std::string text = client.metrics_text();
 
   std::map<std::string, int> seen;
@@ -259,6 +269,18 @@ TEST(Admission, MetricsScrapeServesEveryExpositionNameOnce) {
   EXPECT_NE(text.find("dchag_serve_requests_total 1\n"), std::string::npos);
   EXPECT_NE(text.find("dchag_ingress_completed_total 1\n"), std::string::npos);
   EXPECT_NE(text.find("dchag_ingress_workers 1\n"), std::string::npos);
+
+  // Stage accounting: the forward series come from the worker, which
+  // times its own Engine::run and counts its heap buffer allocations.
+  for (std::uint64_t seed : {78, 79, 80}) timed_infer(seed);
+  const serve::Metrics::Snapshot m = ingress.metrics();
+  ASSERT_EQ(m.batches, 4u);
+  EXPECT_GT(m.mean_forward_ms, 0.0);
+  EXPECT_LT(m.mean_forward_ms, client_ms / 4.0)
+      << "the forward is one stage of the request, not all of it";
+  EXPECT_GT(m.forward_allocations, 0u) << "the warm-up forward allocates";
+  EXPECT_EQ(m.last_forward_allocations, 0u)
+      << "a warmed-up forward allocates nothing";
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Seeded-schedule stress: the async pipelined D-CHAG forward must be
 // BIT-identical to the sync oracle under adversarial comm timing. 64
 // random FaultyWorld schedules spread across 2/4/8-rank groups; any
-// nonzero diff means overlap reordered arithmetic or raced a buffer.
+// nonzero diff means overlap reordered arithmetic or raced a buffer. The
+// channel-subset forward gets the same check over uneven chunks.
 #include <gtest/gtest.h>
 
 #include "comm/fault.hpp"
@@ -74,6 +75,45 @@ TEST(AsyncStress, SixtyFourSchedulesBitIdenticalSyncVsAsync) {
           << "schedule " << sched << " P=" << P;
     });
     ASSERT_GT(world.plan().injections(), 0u) << "schedule " << sched;
+  }
+}
+
+TEST(AsyncStress, ChunkedSubsetWithEmptyRanksBitIdenticalSyncVsAsync) {
+  // Channel-subset forwards run the same chunked driver: B = 5 over K = 4
+  // gives uneven chunks (2, 1, 1, 1), and subset {1, 2} leaves ranks with
+  // no requested channel at every group size (they gather placeholders
+  // that the final aggregation drops).
+  constexpr int kSchedules = 12;
+  const int sizes[] = {2, 4, 8};
+  ModelConfig cfg = ModelConfig::tiny();
+  const tensor::Index C = 8;
+  const tensor::Index B = 5;
+  const std::vector<tensor::Index> subset{1, 2};
+
+  for (int sched = 0; sched < kSchedules; ++sched) {
+    const int P = sizes[sched % 3];
+    const Tensor img = Rng(2000 + static_cast<std::uint64_t>(sched))
+                           .normal_tensor(Shape{B, C, 16, 16});
+    const Tensor sub = ops::slice(img, 1, subset.front(),
+                                  static_cast<tensor::Index>(subset.size()));
+    FaultyWorld world(P, schedule(static_cast<std::uint64_t>(sched)));
+    world.run([&](parallel::Communicator& comm) {
+      autograd::NoGradGuard no_grad;
+      Rng master(4242);
+      DchagFrontEnd fe(cfg, C, comm,
+                       {1, model::AggLayerKind::kLinear}, master);
+      auto run = [&](CommMode mode, int chunks) {
+        runtime::Scope scope(
+            runtime::ContextPatch::with_comm(CommConfig{mode, chunks}));
+        return fe.forward_subset(sub, subset).value();
+      };
+      const Tensor sync_out = run(CommMode::kSync, 4);
+      const Tensor async_out = run(CommMode::kAsync, 4);
+      ASSERT_EQ(ops::max_abs_diff(sync_out, async_out), 0.0f)
+          << "schedule " << sched << " P=" << P << " rank " << comm.rank();
+      ASSERT_LT(ops::max_abs_diff(run(CommMode::kSync, 1), async_out), 1e-5f)
+          << "schedule " << sched << " P=" << P;
+    });
   }
 }
 

@@ -132,17 +132,6 @@ TEST(ChannelSubsetServe, BaseImplementationsRejectSubsetsTyped) {
   EXPECT_THROW((void)agg.forward_subset(Variable::input(two),
                                         std::vector<Index>{0, 2}),
                Error);
-
-  // A front-end that does not override forward_subset refuses it.
-  struct FullOnlyFrontEnd : FrontEnd {
-    Variable forward(const Tensor& images) const override {
-      return Variable::input(images);
-    }
-    Index local_channels() const override { return 2; }
-  };
-  FullOnlyFrontEnd fe;
-  Tensor img = Rng(13).normal_tensor(Shape{1, 1, 16, 16});
-  EXPECT_THROW((void)fe.forward_subset(img, std::vector<Index>{1}), Error);
 }
 
 TEST(ChannelSubsetServe, ForecastPredictSubsetEndToEnd) {

@@ -3,8 +3,14 @@
 // forward over the survivor group — rebound via DchagFrontEnd::rebind
 // with the original channel slots — matches the full-world forward over
 // the same surviving channels bit-for-bit. This is the invariant that
-// lets a degraded world keep answering during recovery.
+// lets a degraded world keep answering during recovery: a degraded
+// engine passes a full request's channel list through unchanged, so the
+// survivor group's forward over ALL channels must equal it too, and a
+// request naming only dead slots' channels must be a typed error on
+// every survivor, never a hang.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "comm/communicator.hpp"
 #include "core/dchag_frontend.hpp"
@@ -58,6 +64,13 @@ TEST(SurvivorSubset, EveryNonEmptySurvivorSetMatchesFullWorldBitForBit) {
     const std::vector<Index> narrow =
         slot_channels({survivors.front()}, c_local);
     const Tensor narrow_img = gather_channels(img, narrow);
+    std::vector<int> all_slots(kRanks);
+    std::iota(all_slots.begin(), all_slots.end(), 0);
+    const std::vector<Index> all = slot_channels(all_slots, c_local);
+    std::vector<int> dead;
+    for (int r = 0; r < kRanks; ++r)
+      if (!(mask & (1u << r))) dead.push_back(r);
+    const std::vector<Index> dead_chans = slot_channels(dead, c_local);
 
     comm::World world(kRanks);
     world.run([&](Communicator& comm) {
@@ -82,6 +95,17 @@ TEST(SurvivorSubset, EveryNonEmptySurvivorSetMatchesFullWorldBitForBit) {
                             full_narrow),
           0.0f)
           << "mask " << mask << " narrow on rank " << comm.rank();
+      // The full request, as a degraded engine serves it.
+      EXPECT_EQ(ops::max_abs_diff(fe.forward_subset(img, all).value(),
+                                  full_sub),
+                0.0f)
+          << "mask " << mask << " all channels on rank " << comm.rank();
+      if (!dead.empty()) {
+        EXPECT_THROW((void)fe.forward_subset(
+                         gather_channels(img, dead_chans), dead_chans),
+                     Error)
+            << "mask " << mask << " dead-only on rank " << comm.rank();
+      }
     });
   }
 }
